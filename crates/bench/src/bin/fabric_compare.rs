@@ -33,14 +33,11 @@ use noc_exp::tables;
 use noc_mesh::ccn::Ccn;
 use noc_mesh::chiplet::ChipletFabric;
 use noc_mesh::controller::{FabricController, ProfiledPromotion};
-use noc_mesh::deflection::DeflectionFabric;
-use noc_mesh::fabric::{EnergyModel, Fabric, FabricKind, PacketFabric};
+use noc_mesh::deployment::Deployment;
+use noc_mesh::fabric::{EnergyModel, Fabric, FabricKind};
 use noc_mesh::hybrid::HybridFabric;
-use noc_mesh::soc::Soc;
 use noc_mesh::stream::{ProvisionMode, ReleaseMode, StreamId, StreamPlane, StreamStats};
 use noc_mesh::topology::Mesh;
-use noc_packet::deflection::DeflectionParams;
-use noc_packet::params::PacketParams;
 use noc_sim::time::CycleCount;
 use noc_sim::units::{Bandwidth, MegaHertz};
 
@@ -322,10 +319,7 @@ fn policy_gate(cfg: &BenchConfig) -> usize {
 /// and spilled streams. Each diverging observable counts one failure.
 fn chiplet_parity_gate(cfg: &BenchConfig) -> usize {
     let mesh = cfg.mesh;
-    let ccn = Ccn::new(mesh, RouterParams::paper(), MegaHertz(25.0));
     let graph = streaming_pipeline(mesh.nodes().min(6), Bandwidth(120.0));
-    let kinds = noc_mesh::tile::default_tile_kinds(&mesh);
-    let mapping = ccn.map_with_spill(&graph, &kinds).expect("spill admission");
     let model = EnergyModel::calibrated(MegaHertz(25.0));
 
     let mut failures = 0;
@@ -336,21 +330,18 @@ fn chiplet_parity_gate(cfg: &BenchConfig) -> usize {
         }
     };
     for kind in FabricKind::ALL {
-        let mut flat: Box<dyn Fabric> = match kind {
-            FabricKind::Circuit => Box::new(Soc::new(mesh, RouterParams::paper())),
-            FabricKind::Hybrid => Box::new(HybridFabric::paper(mesh)),
-            FabricKind::Deflection => {
-                Box::new(DeflectionFabric::new(mesh, DeflectionParams::paper()))
-            }
-            FabricKind::Packet => Box::new(PacketFabric::new(
-                mesh,
-                PacketParams::paper(),
-                PacketFabric::DEFAULT_PACKET_WORDS,
-            )),
-        };
+        // The flat fabric as the builder constructs and provisions it.
+        let mut dep = Deployment::builder(&graph)
+            .mesh_topology(mesh)
+            .clock(MegaHertz(25.0))
+            .fabric(kind)
+            .spill(true)
+            .build()
+            .expect("spill admission deploys");
         let mut chip = ChipletFabric::paper(mesh, 1, 1, kind);
-        let flat_ids = flat.provision(&mapping).expect("legal mapping");
-        let chip_ids = Fabric::provision(&mut chip, &mapping).expect("legal mapping");
+        let chip_ids = Fabric::provision(&mut chip, dep.mapping()).expect("legal mapping");
+        let flat = dep.fabric_mut();
+        let flat_ids: Vec<StreamId> = flat.stream_stats().iter().map(|s| s.id).collect();
         fail(
             flat_ids == chip_ids,
             format!("{kind}: session handles diverge"),

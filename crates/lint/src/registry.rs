@@ -17,8 +17,9 @@
 //! failure mode: the hierarchy is reachable from the deployment builder
 //! (`.chiplets(cw, ch)`), the conformance suite and both sweep bins, and
 //! forgetting any one of them silently un-tests or un-benches the
-//! subsystem. The checker ties them together: the builder's `build` and
-//! `build_controlled` paths must both consult the chiplet grid, and the
+//! subsystem. The checker ties them together: the builder's one
+//! backend-erased constructor (`erased_fabric`) must consult the chiplet
+//! grid, `build` and `build_controlled` must both go through it, and the
 //! conformance suite and every sweep bin must instantiate `ChipletFabric`.
 //!
 //! The checker parses the enum with the same lexer as every other rule, so
@@ -196,10 +197,16 @@ pub fn check_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>) 
     check_chiplet_registry(root, spec, out);
 }
 
+/// The deployment builder's one backend-erased constructor: `build` and
+/// `build_controlled` both obtain their fabric from it.
+const ERASED_CONSTRUCTOR: &str = "erased_fabric";
+
 /// The chiplet topology registry: builder arm ↔ conformance instantiation
 /// ↔ both sweep bins. The deployment builder is the anchor — once it
-/// exposes a `chiplets` knob, every `build*` path must consult the grid
-/// and the test/bench surfaces must cover `ChipletFabric`.
+/// exposes a `chiplets` knob, its one backend-erased constructor must
+/// consult the grid, every backend-erased `build*` path must go through
+/// that constructor, and the test/bench surfaces must cover
+/// `ChipletFabric`.
 fn check_chiplet_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Finding>) {
     let rel = |p: &Path| p.to_string_lossy().into_owned();
     let read = |p: &Path| std::fs::read_to_string(root.join(p)).ok();
@@ -224,19 +231,31 @@ fn check_chiplet_registry(root: &Path, spec: &RegistrySpec, out: &mut Vec<Findin
         ));
         return;
     }
-    // Every build path must consult the grid — a path that ignores it
-    // silently deploys a flat fabric for a chiplet request.
+    // The one constructor behind `build` and `build_controlled` must
+    // consult the grid, and both paths must go through it — a constructor
+    // that ignores the grid, or a path that bypasses it, silently deploys a
+    // flat fabric for a chiplet request.
+    let mentions = |f: &str, ident: &str| {
+        fn_body(&deploy, f).is_some_and(|body| body.iter().any(|t| t.tok.is_ident(ident)))
+    };
+    let mut messages = Vec::new();
+    if !mentions(ERASED_CONSTRUCTOR, "chiplets") {
+        messages.push(format!(
+            "`{ERASED_CONSTRUCTOR}()` ignores the builder's chiplet grid"
+        ));
+    }
     for path in ["build", "build_controlled"] {
-        let consults = fn_body(&deploy, path)
-            .is_some_and(|body| body.iter().any(|t| t.tok.is_ident("chiplets")));
-        if !consults {
-            out.push(drift(
-                rel(&spec.deployment_rs),
-                1,
-                format!("`{path}()` ignores the builder's chiplet grid"),
+        if !mentions(path, ERASED_CONSTRUCTOR) {
+            messages.push(format!(
+                "`{path}()` bypasses `{ERASED_CONSTRUCTOR}()`, the constructor that consults the chiplet grid"
             ));
         }
     }
+    out.extend(
+        messages
+            .into_iter()
+            .map(|m| drift(rel(&spec.deployment_rs), 1, m)),
+    );
     // Conformance and both sweep bins must instantiate the hierarchy.
     let covers = |src: &str| {
         lex(src)

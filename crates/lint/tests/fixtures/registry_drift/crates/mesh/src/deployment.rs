@@ -1,19 +1,23 @@
-// Drifted deployment builder: the knob exists but `build_controlled`
-// silently deploys a flat fabric — exactly the drift D6 must catch.
+// Drifted deployment builder: the knob exists, but the one constructor
+// silently deploys a flat fabric and `build_controlled` bypasses it —
+// exactly the drift D6 must catch.
 impl DeploymentBuilder {
     pub fn chiplets(mut self, cw: usize, ch: usize) -> Self {
         self.chiplets = Some((cw, ch));
         self
     }
 
+    fn erased_fabric(&self) -> Result<Box<dyn Fabric>, DeployError> {
+        self.flat()
+    }
+
     pub fn build(self) -> Result<Deployment, DeployError> {
-        if let Some((cw, ch)) = self.chiplets {
-            return self.build_chiplet_parts(cw, ch);
-        }
-        self.build_flat()
+        let fabric = self.erased_fabric()?;
+        self.finish(fabric)
     }
 
     pub fn build_controlled(self) -> Result<Deployment, DeployError> {
-        self.build_flat()
+        let controller = FabricController::new(self.flat()?);
+        self.finish(controller)
     }
 }

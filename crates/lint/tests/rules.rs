@@ -153,12 +153,22 @@ fn registry_drift_fails_on_every_surface() {
     );
     // fabric_bench::summary covers all three variants, so no finding names it.
     assert!(!msgs.iter().any(|m| m.contains("summary")), "{msgs:?}");
-    // Chiplet registry drift: the builder knob exists but `build_controlled`
-    // bypasses the grid, and no test/bench surface instantiates the hierarchy.
+    // Chiplet registry drift: the builder knob exists but the one
+    // constructor ignores the grid, `build_controlled` bypasses that
+    // constructor, and no test/bench surface instantiates the hierarchy.
     assert!(
         msgs.iter()
-            .any(|m| m.contains("`build_controlled()` ignores the builder's chiplet grid")),
+            .any(|m| m.contains("`erased_fabric()` ignores the builder's chiplet grid")),
         "{msgs:?}"
+    );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`build_controlled()` bypasses `erased_fabric()`")),
+        "{msgs:?}"
+    );
+    assert!(
+        !msgs.iter().any(|m| m.contains("`build()` bypasses")),
+        "`build` routes through the constructor: {msgs:?}"
     );
     assert!(
         msgs.iter()

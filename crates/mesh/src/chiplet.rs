@@ -20,9 +20,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use noc_core::lane::Port;
-use noc_core::params::RouterParams;
-use noc_packet::deflection::DeflectionParams;
-use noc_packet::params::PacketParams;
 use noc_power::area::noi_entry_router_area;
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
 use noc_sim::kernel::Clocked;
@@ -32,12 +29,10 @@ use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 
 use crate::ccn::{Ccn, EdgeRoute, Mapping, PathHop, SpillReason, SpillStream};
-use crate::deflection::DeflectionFabric;
+use crate::deployment::{Backend, BackendParams};
 use crate::fabric::{
-    EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
+    EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
 };
-use crate::hybrid::HybridFabric;
-use crate::soc::Soc;
 use crate::stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
 };
@@ -51,14 +46,9 @@ pub const CHIPLET_BACKEND: &str = "chiplet-mesh";
 /// the NoI entry-router sizing.
 #[derive(Debug, Clone)]
 pub struct ChipletConfig {
-    /// Circuit-switched router parameters for circuit/hybrid inner planes.
-    pub router_params: RouterParams,
-    /// Packet-switched parameters for packet/hybrid inner planes.
-    pub packet_params: PacketParams,
-    /// Deflection parameters for deflection inner planes.
-    pub deflection_params: DeflectionParams,
-    /// Words per packet on packet-coordinate planes.
-    pub packet_words: usize,
+    /// How every inner plane is built — the same parameter set the
+    /// deployment builder builds a flat fabric from.
+    pub backend: BackendParams,
     /// Entry lanes per directed NoI link — the contended boundary resource.
     pub entry_lanes: usize,
 }
@@ -67,10 +57,7 @@ impl ChipletConfig {
     /// Paper-default backend parameters with the default NoI sizing.
     pub fn paper() -> Self {
         ChipletConfig {
-            router_params: RouterParams::paper(),
-            packet_params: PacketParams::paper(),
-            deflection_params: DeflectionParams::paper(),
-            packet_words: PacketFabric::DEFAULT_PACKET_WORDS,
+            backend: BackendParams::paper(),
             entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
         }
     }
@@ -79,67 +66,6 @@ impl ChipletConfig {
 impl Default for ChipletConfig {
     fn default() -> Self {
         ChipletConfig::paper()
-    }
-}
-
-/// One per-chiplet backend plane, `FabricKind`-generic.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one plane per chiplet, stepped in place; boxing would
-                                     // add a pointer chase to every per-cycle dispatch block
-enum InnerPlane {
-    Circuit(Soc),
-    Hybrid(HybridFabric),
-    Deflection(DeflectionFabric),
-    Packet(PacketFabric),
-}
-
-impl InnerPlane {
-    fn build(kind: FabricKind, mesh: Mesh, config: &ChipletConfig) -> InnerPlane {
-        match kind {
-            FabricKind::Circuit => InnerPlane::Circuit(Soc::new(mesh, config.router_params)),
-            FabricKind::Hybrid => InnerPlane::Hybrid(HybridFabric::new(
-                mesh,
-                config.router_params,
-                config.packet_params,
-                config.packet_words,
-            )),
-            FabricKind::Deflection => {
-                InnerPlane::Deflection(DeflectionFabric::new(mesh, config.deflection_params))
-            }
-            FabricKind::Packet => InnerPlane::Packet(PacketFabric::new(
-                mesh,
-                config.packet_params,
-                config.packet_words,
-            )),
-        }
-    }
-
-    fn as_fabric(&self) -> &dyn Fabric {
-        match self {
-            InnerPlane::Circuit(f) => f,
-            InnerPlane::Hybrid(f) => f,
-            InnerPlane::Deflection(f) => f,
-            InnerPlane::Packet(f) => f,
-        }
-    }
-
-    fn as_fabric_mut(&mut self) -> &mut dyn Fabric {
-        match self {
-            InnerPlane::Circuit(f) => f,
-            InnerPlane::Hybrid(f) => f,
-            InnerPlane::Deflection(f) => f,
-            InnerPlane::Packet(f) => f,
-        }
-    }
-
-    /// Liveness probe for drain tracking (`None` when the id is unknown).
-    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        match self {
-            InnerPlane::Circuit(f) => f.stream_is_active(id),
-            InnerPlane::Hybrid(f) => f.stream_is_active(id),
-            InnerPlane::Deflection(f) => f.stream_is_active(id),
-            InnerPlane::Packet(f) => f.stream_is_active(id),
-        }
     }
 }
 
@@ -268,7 +194,7 @@ pub struct ChipletFabric {
     inner_mesh: Mesh,
     inner_kind: FabricKind,
     config: ChipletConfig,
-    planes: Vec<InnerPlane>,
+    planes: Vec<Backend>,
     links: Vec<NoiLink>,
     link_index: BTreeMap<(usize, usize), usize>,
     table: Vec<ChipletStream>,
@@ -315,7 +241,7 @@ impl ChipletFabric {
         let grid = Mesh::new(cw, ch);
         let inner_mesh = Mesh::new(mesh.width / cw, mesh.height / ch);
         let planes = (0..grid.nodes())
-            .map(|_| InnerPlane::build(kind, inner_mesh, &config))
+            .map(|_| Backend::new(kind, inner_mesh, &config.backend))
             .collect();
         let mut links = Vec::new();
         let mut link_index = BTreeMap::new();
@@ -514,49 +440,33 @@ impl ChipletFabric {
         src: NodeId,
         dst: NodeId,
         demand: noc_sim::units::Bandwidth,
-        lane_capacity: noc_sim::units::Bandwidth,
         seg: SegRef,
     ) -> SegOutcome {
         if src == dst {
             return SegOutcome::Degenerate;
         }
-        match self.inner_kind {
-            FabricKind::Circuit | FabricKind::Hybrid => {
-                let want = StreamDemand { src, dst, demand };
-                match ccn.admit_stream(&want, occupied) {
-                    Ok(route) => {
-                        occupied.push(route.clone());
-                        plan.routes.push(route);
-                        plan.route_refs.push(seg);
-                        SegOutcome::Stream
-                    }
-                    Err(_) if matches!(self.inner_kind, FabricKind::Hybrid) => {
-                        plan.spilled.push(SpillStream {
-                            edges: Vec::new(),
-                            src,
-                            dst,
-                            demand,
-                            reason: SpillReason::NoFreeLanes,
-                        });
-                        plan.spill_refs.push(seg);
-                        SegOutcome::Stream
-                    }
-                    Err(_) => SegOutcome::Unserved,
+        if matches!(self.inner_kind, FabricKind::Circuit | FabricKind::Hybrid) {
+            match ccn.admit_stream(&StreamDemand { src, dst, demand }, occupied) {
+                Ok(route) => {
+                    occupied.push(route.clone());
+                    plan.routes.push(route);
+                    plan.route_refs.push(seg);
+                    return SegOutcome::Stream;
                 }
-            }
-            FabricKind::Deflection | FabricKind::Packet => {
-                let _ = (ccn, lane_capacity);
-                plan.spilled.push(SpillStream {
-                    edges: Vec::new(),
-                    src,
-                    dst,
-                    demand,
-                    reason: SpillReason::NoFreeLanes,
-                });
-                plan.spill_refs.push(seg);
-                SegOutcome::Stream
+                // A circuit plane has no spill plane to fall back on.
+                Err(_) if self.inner_kind == FabricKind::Circuit => return SegOutcome::Unserved,
+                Err(_) => {}
             }
         }
+        plan.spilled.push(SpillStream {
+            edges: Vec::new(),
+            src,
+            dst,
+            demand,
+            reason: SpillReason::NoFreeLanes,
+        });
+        plan.spill_refs.push(seg);
+        SegOutcome::Stream
     }
 
     // -- NoI stepping phases ------------------------------------------------
@@ -858,7 +768,7 @@ impl Fabric for ChipletFabric {
 
         let ccn = Ccn::with_lane_capacity(
             self.inner_mesh,
-            self.config.router_params,
+            self.config.backend.router_params,
             mapping.lane_capacity,
         );
         let chips = self.planes.len();
@@ -942,7 +852,6 @@ impl Fabric for ChipletFabric {
                     local_src,
                     exit,
                     ms.demand,
-                    mapping.lane_capacity,
                     SegRef::Src(gid),
                 );
                 let dst_out = self.resolve_segment(
@@ -952,7 +861,6 @@ impl Fabric for ChipletFabric {
                     entry,
                     local_dst,
                     ms.demand,
-                    mapping.lane_capacity,
                     SegRef::Dst(gid),
                 );
                 if matches!(src_out, SegOutcome::Unserved)
@@ -1532,6 +1440,8 @@ impl Fabric for ChipletFabric {
 mod tests {
     use super::*;
     use crate::ccn::Ccn;
+    use crate::soc::Soc;
+    use noc_core::params::RouterParams;
     use noc_sim::units::{Bandwidth, MegaHertz};
 
     fn mapping_for(mesh: Mesh, streams: &[(NodeId, NodeId)]) -> Mapping {

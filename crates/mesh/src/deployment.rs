@@ -2,9 +2,8 @@
 //! and traffic-bound network out — circuit- or packet-switched, through
 //! one builder.
 //!
-//! This replaces the old fixed five-positional-argument deployment entry
-//! point (`AppRun::deploy`, now a deprecated shim in the facade crate).
-//! The builder owns every knob with a sensible default:
+//! It is the one deployment entry point, and it owns every knob with a
+//! sensible default:
 //!
 //! ```
 //! use noc_apps::taskgraph::{TaskGraph, TrafficShape};
@@ -100,17 +99,13 @@ impl From<ProvisionError> for DeployError {
 pub struct DeploymentBuilder<'g> {
     graph: &'g TaskGraph,
     mesh: Mesh,
-    router_params: RouterParams,
-    packet_params: PacketParams,
-    deflection_params: DeflectionParams,
+    backend: BackendParams,
     clock: MegaHertz,
     seed: u64,
     kind: FabricKind,
-    packet_words: usize,
     pattern: DataPattern,
     tile_kinds: Option<Vec<TileKind>>,
     spill: bool,
-    deflection_spill: bool,
     chiplets: Option<(usize, usize)>,
     parallelism: ParPolicy,
     provisioning: ProvisionMode,
@@ -123,17 +118,13 @@ impl<'g> DeploymentBuilder<'g> {
         DeploymentBuilder {
             graph,
             mesh: Mesh::new(4, 4),
-            router_params: RouterParams::paper(),
-            packet_params: PacketParams::paper(),
-            deflection_params: DeflectionParams::paper(),
+            backend: BackendParams::paper(),
             clock: MegaHertz(100.0),
             seed: 0,
             kind: FabricKind::Circuit,
-            packet_words: PacketFabric::DEFAULT_PACKET_WORDS,
             pattern: DataPattern::Random,
             tile_kinds: None,
             spill: false,
-            deflection_spill: false,
             chiplets: None,
             parallelism: ParPolicy::Auto,
             provisioning: ProvisionMode::Instant,
@@ -156,20 +147,20 @@ impl<'g> DeploymentBuilder<'g> {
 
     /// Circuit-router parameters (default [`RouterParams::paper`]).
     pub fn router_params(mut self, params: RouterParams) -> Self {
-        self.router_params = params;
+        self.backend.router_params = params;
         self
     }
 
     /// Packet-router parameters (default [`PacketParams::paper`]).
     pub fn packet_params(mut self, params: PacketParams) -> Self {
-        self.packet_params = params;
+        self.backend.packet_params = params;
         self
     }
 
     /// Deflection-router parameters (default [`DeflectionParams::paper`]:
     /// ungated, pure bufferless).
     pub fn deflection_params(mut self, params: DeflectionParams) -> Self {
-        self.deflection_params = params;
+        self.backend.deflection_params = params;
         self
     }
 
@@ -195,7 +186,7 @@ impl<'g> DeploymentBuilder<'g> {
 
     /// Payload words per wormhole packet on the packet backend.
     pub fn packet_words(mut self, words: usize) -> Self {
-        self.packet_words = words;
+        self.backend.packet_words = words;
         self
     }
 
@@ -228,9 +219,10 @@ impl<'g> DeploymentBuilder<'g> {
     /// plane** ([`HybridFabric::with_deflection_spill`]) instead of the
     /// default buffered packet plane. Uses the builder's
     /// [`DeploymentBuilder::deflection_params`] with clock gating forced
-    /// on. Only the hybrid backend reads this knob.
+    /// on. Only hybrid backends read this knob — flat, or the inner
+    /// planes of a [`DeploymentBuilder::chiplets`] grid.
     pub fn deflection_spill(mut self, on: bool) -> Self {
-        self.deflection_spill = on;
+        self.backend.deflection_spill = on;
         self
     }
 
@@ -272,36 +264,6 @@ impl<'g> DeploymentBuilder<'g> {
     pub fn chiplets(mut self, cw: usize, ch: usize) -> Self {
         self.chiplets = Some((cw, ch));
         self
-    }
-
-    /// The chiplet fabric this builder's knobs describe.
-    fn chiplet_fabric(&self, cw: usize, ch: usize) -> ChipletFabric {
-        let config = ChipletConfig {
-            router_params: self.router_params,
-            packet_params: self.packet_params,
-            deflection_params: self.deflection_params,
-            packet_words: self.packet_words,
-            entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
-        };
-        ChipletFabric::new(self.mesh, cw, ch, self.kind, config)
-    }
-
-    /// The hybrid fabric this builder's knobs describe.
-    fn hybrid_fabric(&self) -> HybridFabric {
-        if self.deflection_spill {
-            HybridFabric::with_deflection_spill(
-                self.mesh,
-                self.router_params,
-                self.deflection_params,
-            )
-        } else {
-            HybridFabric::new(
-                self.mesh,
-                self.router_params,
-                self.packet_params,
-                self.packet_words,
-            )
-        }
     }
 
     /// Per-cycle evaluation policy for the built fabric (default
@@ -351,17 +313,13 @@ impl<'g> DeploymentBuilder<'g> {
         self
     }
 
-    /// Map the application (shared by every backend).
-    fn map(&self) -> Result<Mapping, MappingError> {
-        self.map_admission(self.spill)
-    }
-
-    fn map_admission(&self, spill: bool) -> Result<Mapping, MappingError> {
+    /// Map the application, with spill-tolerant or strict admission.
+    fn map(&self, spill: bool) -> Result<Mapping, MappingError> {
         let kinds = match &self.tile_kinds {
             Some(k) => k.clone(),
             None => default_tile_kinds(&self.mesh),
         };
-        let ccn = Ccn::new(self.mesh, self.router_params, self.clock);
+        let ccn = Ccn::new(self.mesh, self.backend.router_params, self.clock);
         if spill {
             ccn.map_with_spill(self.graph, &kinds)
         } else {
@@ -369,51 +327,44 @@ impl<'g> DeploymentBuilder<'g> {
         }
     }
 
-    /// Pre-check the packet header's coordinate space so the size limit
-    /// surfaces as an error, not as `PacketFabric::new`'s panic.
-    fn check_packet_mesh(&self) -> Result<(), DeployError> {
-        if self.mesh.width > 16 || self.mesh.height > 16 {
-            return Err(ProvisionError::MeshTooLarge {
-                width: self.mesh.width,
-                height: self.mesh.height,
-            }
-            .into());
-        }
-        Ok(())
+    /// The flat `kind` backend over the builder's mesh.
+    fn flat(&self, kind: FabricKind) -> Result<Backend, DeployError> {
+        check_mesh(kind, self.mesh.width, self.mesh.height)?;
+        Ok(Backend::new(kind, self.mesh, &self.backend))
     }
 
-    /// The chiplet variant of [`DeploymentBuilder::check_packet_mesh`]:
-    /// packet coordinates only have to cover one chiplet's sub-mesh, which
-    /// is exactly how the hierarchy scales packet-coordinate backends past
-    /// the 16×16 header limit.
-    fn check_chiplet_mesh(&self, cw: usize, ch: usize) -> Result<(), DeployError> {
-        if matches!(self.kind, FabricKind::Circuit) {
-            return Ok(());
-        }
-        let inner_w = self.mesh.width / cw.max(1);
-        let inner_h = self.mesh.height / ch.max(1);
-        if inner_w > 16 || inner_h > 16 {
-            return Err(ProvisionError::MeshTooLarge {
-                width: inner_w,
-                height: inner_h,
-            }
-            .into());
-        }
-        Ok(())
-    }
-
-    /// Fabric + mapping for a chiplet build ([`DeploymentBuilder::chiplets`]).
-    fn build_chiplet_parts(
-        &self,
-        cw: usize,
-        ch: usize,
-    ) -> Result<(Box<dyn Fabric>, Mapping), DeployError> {
-        self.check_chiplet_mesh(cw, ch)?;
-        let mapping = match self.kind {
-            FabricKind::Hybrid => self.map_admission(true)?,
-            _ => self.map()?,
+    /// The backend-erased fabric [`DeploymentBuilder::build`] and
+    /// [`DeploymentBuilder::build_controlled`] deploy: a grid of
+    /// [`DeploymentBuilder::fabric`]-kind planes when
+    /// [`DeploymentBuilder::chiplets`] is set, else the flat backend.
+    fn erased_fabric(&self) -> Result<Box<dyn Fabric>, DeployError> {
+        let Some((cw, ch)) = self.chiplets else {
+            return Ok(self.flat(self.kind)?.boxed());
         };
-        Ok((Box::new(self.chiplet_fabric(cw, ch)), mapping))
+        // Packet coordinates only have to cover one chiplet's sub-mesh,
+        // which is how the hierarchy scales packet-coordinate backends past
+        // the 16×16 header limit.
+        check_mesh(
+            self.kind,
+            self.mesh.width / cw.max(1),
+            self.mesh.height / ch.max(1),
+        )?;
+        let config = ChipletConfig {
+            backend: self.backend,
+            entry_lanes: ChipletFabric::DEFAULT_ENTRY_LANES,
+        };
+        Ok(Box::new(ChipletFabric::new(
+            self.mesh, cw, ch, self.kind, config,
+        )))
+    }
+
+    /// Map the application, provision `fabric` and bind offered load to
+    /// every stream it serves — the tail every `build*` path shares. The
+    /// hybrid discipline always maps with spill admission.
+    fn finish<F: Fabric>(self, mut fabric: F) -> Result<Deployment<F>, DeployError> {
+        let mapping = self.map(self.spill || fabric.kind() == FabricKind::Hybrid)?;
+        let served = fabric.provision_with(&mapping, self.provisioning)?;
+        Ok(Deployment::assemble(fabric, mapping, &served, &self))
     }
 
     /// Deploy onto the backend chosen with [`DeploymentBuilder::fabric`].
@@ -423,45 +374,12 @@ impl<'g> DeploymentBuilder<'g> {
     /// learns every stream's declared demand and its policy loop runs
     /// inside ordinary [`Fabric::step`]s.
     pub fn build(mut self) -> Result<Deployment<Box<dyn Fabric>>, DeployError> {
-        let policy = self.policy.take();
-        let (fabric, mapping): (Box<dyn Fabric>, Mapping) = if let Some((cw, ch)) = self.chiplets {
-            self.build_chiplet_parts(cw, ch)?
-        } else {
-            match self.kind {
-                FabricKind::Circuit => (
-                    Box::new(Soc::new(self.mesh, self.router_params)),
-                    self.map()?,
-                ),
-                FabricKind::Hybrid => {
-                    self.check_packet_mesh()?;
-                    (Box::new(self.hybrid_fabric()), self.map_admission(true)?)
-                }
-                FabricKind::Deflection => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(DeflectionFabric::new(self.mesh, self.deflection_params)),
-                        self.map()?,
-                    )
-                }
-                FabricKind::Packet => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(PacketFabric::new(
-                            self.mesh,
-                            self.packet_params,
-                            self.packet_words,
-                        )),
-                        self.map()?,
-                    )
-                }
-            }
-        };
-        let mut fabric: Box<dyn Fabric> = match policy {
+        let fabric = self.erased_fabric()?;
+        let fabric: Box<dyn Fabric> = match self.policy.take() {
             Some(p) => Box::new(FabricController::new(fabric, p).with_window(self.tick_window)),
             None => fabric,
         };
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
+        self.finish(fabric)
     }
 
     /// Deploy like [`DeploymentBuilder::build`], but always wrapped in a
@@ -473,70 +391,33 @@ impl<'g> DeploymentBuilder<'g> {
     /// reporting needs no downcasting through `Box<dyn Fabric>`.
     pub fn build_controlled(mut self) -> Result<Deployment<FabricController>, DeployError> {
         let policy = self.policy.take().unwrap_or_else(|| Box::new(FirstFit));
-        let window = self.tick_window;
-        let (fabric, mapping): (Box<dyn Fabric>, Mapping) = if let Some((cw, ch)) = self.chiplets {
-            self.build_chiplet_parts(cw, ch)?
-        } else {
-            match self.kind {
-                FabricKind::Circuit => (
-                    Box::new(Soc::new(self.mesh, self.router_params)),
-                    self.map()?,
-                ),
-                FabricKind::Hybrid => {
-                    self.check_packet_mesh()?;
-                    (Box::new(self.hybrid_fabric()), self.map_admission(true)?)
-                }
-                FabricKind::Deflection => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(DeflectionFabric::new(self.mesh, self.deflection_params)),
-                        self.map()?,
-                    )
-                }
-                FabricKind::Packet => {
-                    self.check_packet_mesh()?;
-                    (
-                        Box::new(PacketFabric::new(
-                            self.mesh,
-                            self.packet_params,
-                            self.packet_words,
-                        )),
-                        self.map()?,
-                    )
-                }
-            }
-        };
-        let mut controller = FabricController::new(fabric, policy).with_window(window);
-        controller.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(controller, mapping, &self))
+        let controller =
+            FabricController::new(self.erased_fabric()?, policy).with_window(self.tick_window);
+        self.finish(controller)
     }
 
     /// Deploy onto the circuit-switched mesh.
     pub fn build_circuit(self) -> Result<Deployment<Soc>, DeployError> {
-        let mapping = self.map()?;
-        let mut fabric = Soc::new(self.mesh, self.router_params);
-        fabric
-            .provision_with(&mapping, self.provisioning)
-            .map_err(ProvisionError::from)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
+        match self.flat(FabricKind::Circuit)? {
+            Backend::Circuit(fabric) => self.finish(fabric),
+            _ => unreachable!("the circuit kind builds a Soc"),
+        }
     }
 
     /// Deploy onto the packet-switched mesh.
     pub fn build_packet(self) -> Result<Deployment<PacketFabric>, DeployError> {
-        self.check_packet_mesh()?;
-        let mapping = self.map()?;
-        let mut fabric = PacketFabric::new(self.mesh, self.packet_params, self.packet_words);
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
+        match self.flat(FabricKind::Packet)? {
+            Backend::Packet(fabric) => self.finish(fabric),
+            _ => unreachable!("the packet kind builds a PacketFabric"),
+        }
     }
 
     /// Deploy onto the bufferless deflection mesh.
     pub fn build_deflection(self) -> Result<Deployment<DeflectionFabric>, DeployError> {
-        self.check_packet_mesh()?;
-        let mapping = self.map()?;
-        let mut fabric = DeflectionFabric::new(self.mesh, self.deflection_params);
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
+        match self.flat(FabricKind::Deflection)? {
+            Backend::Deflection(fabric) => self.finish(fabric),
+            _ => unreachable!("the deflection kind builds a DeflectionFabric"),
+        }
     }
 
     /// Deploy onto the hybrid fabric: circuits for the admitted streams, a
@@ -545,11 +426,126 @@ impl<'g> DeploymentBuilder<'g> {
     /// onto the packet plane *is* the hybrid discipline — so applications
     /// the pure circuit backend rejects deploy here.
     pub fn build_hybrid(self) -> Result<Deployment<HybridFabric>, DeployError> {
-        self.check_packet_mesh()?;
-        let mapping = self.map_admission(true)?;
-        let mut fabric = self.hybrid_fabric();
-        fabric.provision_with(&mapping, self.provisioning)?;
-        Ok(Deployment::assemble(fabric, mapping, &self))
+        match self.flat(FabricKind::Hybrid)? {
+            Backend::Hybrid(fabric) => self.finish(fabric),
+            _ => unreachable!("the hybrid kind builds a HybridFabric"),
+        }
+    }
+}
+
+/// Surface the packet header's 16×16 coordinate space as an error rather
+/// than a constructor panic. Circuit fabrics have no such limit.
+fn check_mesh(kind: FabricKind, width: usize, height: usize) -> Result<(), DeployError> {
+    if kind != FabricKind::Circuit && (width > 16 || height > 16) {
+        return Err(ProvisionError::MeshTooLarge { width, height }.into());
+    }
+    Ok(())
+}
+
+/// The construction parameters of every backend kind — everything besides
+/// the kind and the mesh that decides what a [`FabricKind`] builds. The
+/// deployment builder holds one set and [`ChipletConfig`] carries one, so a
+/// chiplet grid's inner planes are built exactly like the flat fabric of
+/// the same kind.
+#[derive(Debug, Clone, Copy)]
+pub struct BackendParams {
+    /// Circuit-router parameters (circuit and hybrid backends).
+    pub router_params: RouterParams,
+    /// Packet-router parameters (packet backend, hybrid packet spill plane).
+    pub packet_params: PacketParams,
+    /// Deflection-router parameters (deflection backend, hybrid deflection
+    /// spill plane).
+    pub deflection_params: DeflectionParams,
+    /// Payload words per wormhole packet on packet planes.
+    pub packet_words: usize,
+    /// Carry the hybrid's spillover on a bufferless deflection plane
+    /// instead of the buffered packet plane.
+    pub deflection_spill: bool,
+}
+
+impl BackendParams {
+    /// The paper's router parameters, with hybrid spillover on the
+    /// packet plane.
+    pub fn paper() -> Self {
+        BackendParams {
+            router_params: RouterParams::paper(),
+            packet_params: PacketParams::paper(),
+            deflection_params: DeflectionParams::paper(),
+            packet_words: PacketFabric::DEFAULT_PACKET_WORDS,
+            deflection_spill: false,
+        }
+    }
+}
+
+/// Evaluate `$body` with `$f` bound to whichever fabric `$backend` holds.
+macro_rules! on_backend {
+    ($backend:expr, $f:ident => $body:expr) => {
+        match $backend {
+            Backend::Circuit($f) => $body,
+            Backend::Hybrid($f) => $body,
+            Backend::Deflection($f) => $body,
+            Backend::Packet($f) => $body,
+        }
+    };
+}
+
+/// A built backend of any [`FabricKind`], before a build path erases its
+/// type or unwraps the concrete fabric. Chiplet grids keep one per plane.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // one per chiplet plane, stepped in place; boxing would
+                                     // add a pointer chase to every per-cycle dispatch block
+pub(crate) enum Backend {
+    Circuit(Soc),
+    Hybrid(HybridFabric),
+    Deflection(DeflectionFabric),
+    Packet(PacketFabric),
+}
+
+impl Backend {
+    /// The one backend constructor: the `kind` fabric over `mesh`, built
+    /// from `params`.
+    pub(crate) fn new(kind: FabricKind, mesh: Mesh, params: &BackendParams) -> Backend {
+        match kind {
+            FabricKind::Circuit => Backend::Circuit(Soc::new(mesh, params.router_params)),
+            FabricKind::Hybrid if params.deflection_spill => {
+                Backend::Hybrid(HybridFabric::with_deflection_spill(
+                    mesh,
+                    params.router_params,
+                    params.deflection_params,
+                ))
+            }
+            FabricKind::Hybrid => Backend::Hybrid(HybridFabric::new(
+                mesh,
+                params.router_params,
+                params.packet_params,
+                params.packet_words,
+            )),
+            FabricKind::Deflection => {
+                Backend::Deflection(DeflectionFabric::new(mesh, params.deflection_params))
+            }
+            FabricKind::Packet => Backend::Packet(PacketFabric::new(
+                mesh,
+                params.packet_params,
+                params.packet_words,
+            )),
+        }
+    }
+
+    fn boxed(self) -> Box<dyn Fabric> {
+        on_backend!(self, f => Box::new(f))
+    }
+
+    pub(crate) fn as_fabric(&self) -> &dyn Fabric {
+        on_backend!(self, f => f)
+    }
+
+    pub(crate) fn as_fabric_mut(&mut self) -> &mut dyn Fabric {
+        on_backend!(self, f => f)
+    }
+
+    /// Liveness probe for drain tracking (`None` when the id is unknown).
+    pub(crate) fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        on_backend!(self, f => f.stream_is_active(id))
     }
 }
 
@@ -590,8 +586,8 @@ struct RouteTraffic {
     retired: Vec<StreamId>,
 }
 
-/// Per-stream delivery statistics, the fabric-generic analogue of the old
-/// `RouteReport`.
+/// Per-stream delivery statistics against the task graph's demands
+/// ([`Deployment::report`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricRouteReport {
     /// The stream's session handle on the deployed fabric.
@@ -675,43 +671,49 @@ impl Deployment<()> {
 }
 
 impl<F: Fabric> Deployment<F> {
-    fn assemble(mut fabric: F, mapping: Mapping, b: &DeploymentBuilder<'_>) -> Deployment<F> {
+    /// Bind one offered-load generator to each session in `served` — the
+    /// handles `provision_with` returned, in the mapping's `StreamId`
+    /// numbering. Demands a backend does not serve (spillover on a pure
+    /// circuit fabric, cross-chiplet segments a circuit plane ran out of
+    /// lanes for) get no traffic: injecting on an unserved session would
+    /// be a contract violation, not silent loss.
+    fn assemble(
+        mut fabric: F,
+        mapping: Mapping,
+        served: &[StreamId],
+        b: &DeploymentBuilder<'_>,
+    ) -> Deployment<F> {
         fabric.set_parallelism(b.parallelism);
         let nodes = b.mesh.nodes();
-        let mut traffic = Vec::new();
-        // One traffic generator per stream session, addressed by the
-        // mapping's StreamId numbering (what `provision` handed out).
-        // Spilled demands get offered load too — on backends that can
-        // carry them. The circuit fabric has no best-effort plane, so a
-        // spill-admitted circuit deployment runs the GT subset only
-        // (injecting on an unserved session would be a contract
-        // violation, not silent loss).
-        for ms in mapping.streams() {
-            if ms.spilled && fabric.kind() == FabricKind::Circuit {
-                continue;
-            }
-            let idx = match (ms.route, ms.spill) {
-                (Some(r), _) => r,
-                (None, Some(s)) => mapping.routes.len() + s,
-                (None, None) => unreachable!("a stream is a route or a spill"),
-            };
-            traffic.push(RouteTraffic {
-                stream_id: ms.id,
-                route: idx,
-                dst: ms.dst,
-                // Mbit/s over (MHz × 16 bit/word) = words/cycle.
-                rate: ms.demand.value() / (b.clock.value() * 16.0),
-                scale: 1.0,
-                acc: 0.0,
-                stream: WordStream::new(b.pattern, b.seed ^ ((idx as u64) << 32)),
-                injected: 0,
-                delivered: 0,
-                spilled: ms.spilled,
-                stopped: false,
-                paused: false,
-                retired: Vec::new(),
-            });
-        }
+        let streams = mapping.streams();
+        let traffic = served
+            .iter()
+            .map(|&id| {
+                let ms = &streams[id.0 as usize];
+                debug_assert_eq!(ms.id, id, "served handles use the mapping's numbering");
+                let idx = match (ms.route, ms.spill) {
+                    (Some(r), _) => r,
+                    (None, Some(s)) => mapping.routes.len() + s,
+                    (None, None) => unreachable!("a stream is a route or a spill"),
+                };
+                RouteTraffic {
+                    stream_id: id,
+                    route: idx,
+                    dst: ms.dst,
+                    // Mbit/s over (MHz × 16 bit/word) = words/cycle.
+                    rate: ms.demand.value() / (b.clock.value() * 16.0),
+                    scale: 1.0,
+                    acc: 0.0,
+                    stream: WordStream::new(b.pattern, b.seed ^ ((idx as u64) << 32)),
+                    injected: 0,
+                    delivered: 0,
+                    spilled: ms.spilled,
+                    stopped: false,
+                    paused: false,
+                    retired: Vec::new(),
+                }
+            })
+            .collect();
         Deployment {
             fabric,
             mapping,
@@ -723,30 +725,6 @@ impl<F: Fabric> Deployment<F> {
             cycles_run: 0,
             offered_cycles: 0,
         }
-    }
-
-    /// Erase the backend type for runtime-selected deployments.
-    pub fn boxed(self) -> Deployment<Box<dyn Fabric>>
-    where
-        F: 'static,
-    {
-        Deployment {
-            fabric: Box::new(self.fabric) as Box<dyn Fabric>,
-            mapping: self.mapping,
-            clock: self.clock,
-            traffic: self.traffic,
-            delivered_at: self.delivered_at,
-            payload_at: self.payload_at,
-            keep_payload: self.keep_payload,
-            cycles_run: self.cycles_run,
-            offered_cycles: self.offered_cycles,
-        }
-    }
-
-    /// Take the fabric and mapping apart (the legacy `AppRun` shim builds
-    /// its load-driven bindings on top of a freshly provisioned fabric).
-    pub fn into_parts(self) -> (F, Mapping) {
-        (self.fabric, self.mapping)
     }
 
     /// The deployed fabric.

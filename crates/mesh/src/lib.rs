@@ -80,7 +80,6 @@ pub mod deflection;
 pub mod deployment;
 pub mod fabric;
 pub mod hybrid;
-pub mod packet_mesh;
 pub mod reconfig;
 pub mod soc;
 pub mod stream;
@@ -96,13 +95,13 @@ pub use controller::{
 };
 pub use deflection::DeflectionFabric;
 pub use deployment::{
-    DeployError, Deployment, DeploymentBuilder, DeploymentSnapshot, FabricRouteReport,
+    BackendParams, DeployError, Deployment, DeploymentBuilder, DeploymentSnapshot,
+    FabricRouteReport,
 };
 pub use fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,
 };
 pub use hybrid::{HybridFabric, SpillPlane, SpillStats};
-pub use packet_mesh::{PacketMesh, RandomTraffic};
 pub use soc::Soc;
 pub use stream::{
     AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,

@@ -55,7 +55,7 @@ use crate::routing::{route_xy, Coords};
 use crate::vc::{InputVc, OutputVc, VcId};
 use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
 use noc_sim::kernel::Clocked;
-use noc_sim::par::{par_indexed, ParPolicy};
+use noc_sim::par::{par_indexed, ParPolicy, StripePtr};
 use noc_sim::signal::{Reg, Wire};
 use std::collections::VecDeque;
 
@@ -185,39 +185,6 @@ struct Lane<'a> {
     inbox: &'a mut bool,
     quiet: &'a mut bool,
 }
-
-/// Raw base pointers into the slab arrays — `Copy`, so every pool lane can
-/// carve its own router stripe without borrowing the slab.
-#[derive(Clone, Copy)]
-struct SlabPtrs {
-    coords: *const Coords,
-    inputs: *mut InputVc,
-    outputs: *mut OutputVc,
-    link_in: *mut Option<(VcId, Flit)>,
-    credit_in: *mut bool,
-    out_regs: *mut Reg<u32>,
-    out_words: *mut LinkWord,
-    link_wires: *mut Wire<u32>,
-    out_select: *mut Wire<u8>,
-    credit_out_next: *mut bool,
-    credit_out_regs: *mut Reg<bool>,
-    input_arbs: *mut RoundRobin,
-    output_arbs: *mut RoundRobin,
-    vc_arbs: *mut RoundRobin,
-    tile_rx: *mut VecDeque<(VcId, Flit)>,
-    ledgers: *mut RouterLedgers,
-    flits_delivered: *mut u64,
-    settled: *mut bool,
-    skipped: *mut bool,
-    inbox: *mut bool,
-    quiet: *mut bool,
-}
-
-// SAFETY: the pointees are plain data owned by the slab, and every stripe
-// (router index) is accessed by exactly one thread per dispatch — the
-// contract `par_indexed` documents and upholds.
-unsafe impl Send for SlabPtrs {}
-unsafe impl Sync for SlabPtrs {}
 
 impl RouterSlab {
     /// Upper bound on `vcs` — the link wire image carries a 2-bit VC id,
@@ -417,111 +384,103 @@ impl RouterSlab {
 
     // ----- stepping --------------------------------------------------------
 
-    fn ptrs(&mut self) -> SlabPtrs {
-        SlabPtrs {
-            coords: self.coords.as_ptr(),
-            inputs: self.inputs.as_mut_ptr(),
-            outputs: self.outputs.as_mut_ptr(),
-            link_in: self.link_in.as_mut_ptr(),
-            credit_in: self.credit_in.as_mut_ptr(),
-            out_regs: self.out_regs.as_mut_ptr(),
-            out_words: self.out_words.as_mut_ptr(),
-            link_wires: self.link_wires.as_mut_ptr(),
-            out_select: self.out_select.as_mut_ptr(),
-            credit_out_next: self.credit_out_next.as_mut_ptr(),
-            credit_out_regs: self.credit_out_regs.as_mut_ptr(),
-            input_arbs: self.input_arbs.as_mut_ptr(),
-            output_arbs: self.output_arbs.as_mut_ptr(),
-            vc_arbs: self.vc_arbs.as_mut_ptr(),
-            tile_rx: self.tile_rx.as_mut_ptr(),
-            ledgers: self.ledgers.as_mut_ptr(),
-            flits_delivered: self.flits_delivered.as_mut_ptr(),
-            settled: self.settled.as_mut_ptr(),
-            skipped: self.skipped.as_mut_ptr(),
-            inbox: self.inbox.as_mut_ptr(),
-            quiet: self.quiet.as_mut_ptr(),
-        }
-    }
-
-    /// Build router `r`'s stripe view.
+    /// Router stripe views through the slab: the returned closure maps a
+    /// router index to its [`Lane`]. It captures only [`StripePtr`]s, so it
+    /// is `Copy + Sync` and every pool lane carves its own router's stripe
+    /// without borrowing the slab.
     ///
     /// # Safety
-    /// Caller must guarantee no other live view of the same `r` and that
-    /// the slab outlives the returned `Lane` (upheld by the dispatch
-    /// barrier: `par_eval`/`par_commit` borrow the slab mutably for the
-    /// whole dispatch, and each index runs exactly once).
-    unsafe fn lane<'a>(p: SlabPtrs, vcs: usize, r: usize) -> Lane<'a> {
-        use std::slice::from_raw_parts_mut;
-        let pv = P * vcs;
-        // SAFETY: `r` is a unique, in-bounds stripe index (caller contract
-        // above), so every `add(r * …)` lands inside its slab allocation
-        // and the borrows produced here are disjoint from every other
-        // stripe's.
-        unsafe {
-            Lane {
-                coords: *p.coords.add(r),
-                inputs: from_raw_parts_mut(p.inputs.add(r * pv), pv),
-                outputs: from_raw_parts_mut(p.outputs.add(r * pv), pv),
-                link_in: from_raw_parts_mut(p.link_in.add(r * P), P),
-                credit_in: from_raw_parts_mut(p.credit_in.add(r * pv), pv),
-                out_regs: from_raw_parts_mut(p.out_regs.add(r * P), P),
-                out_words: from_raw_parts_mut(p.out_words.add(r * P), P),
-                link_wires: from_raw_parts_mut(p.link_wires.add(r * P), P),
-                out_select: from_raw_parts_mut(p.out_select.add(r * P), P),
-                credit_out_next: from_raw_parts_mut(p.credit_out_next.add(r * pv), pv),
-                credit_out_regs: from_raw_parts_mut(p.credit_out_regs.add(r * pv), pv),
-                input_arbs: from_raw_parts_mut(p.input_arbs.add(r * P), P),
-                output_arbs: from_raw_parts_mut(p.output_arbs.add(r * P), P),
-                vc_arbs: from_raw_parts_mut(p.vc_arbs.add(r * P), P),
-                tile_rx: &mut *p.tile_rx.add(r),
-                led: &mut *p.ledgers.add(r),
-                flits_delivered: &mut *p.flits_delivered.add(r),
-                settled: &mut *p.settled.add(r),
-                skipped: &mut *p.skipped.add(r),
-                inbox: &mut *p.inbox.add(r),
-                quiet: &mut *p.quiet.add(r),
+    /// Every index passed must be `< self.n`, and at most one `Lane` per
+    /// index may be live at a time (a [`par_indexed`] dispatch runs each
+    /// index exactly once).
+    unsafe fn lanes<'a>(&'a mut self) -> impl Fn(usize) -> Lane<'a> + Copy + Sync {
+        let pv = P * self.params.vcs;
+        let coords = StripePtr::new(&mut self.coords);
+        let inputs = StripePtr::new(&mut self.inputs);
+        let outputs = StripePtr::new(&mut self.outputs);
+        let link_in = StripePtr::new(&mut self.link_in);
+        let credit_in = StripePtr::new(&mut self.credit_in);
+        let out_regs = StripePtr::new(&mut self.out_regs);
+        let out_words = StripePtr::new(&mut self.out_words);
+        let link_wires = StripePtr::new(&mut self.link_wires);
+        let out_select = StripePtr::new(&mut self.out_select);
+        let credit_out_next = StripePtr::new(&mut self.credit_out_next);
+        let credit_out_regs = StripePtr::new(&mut self.credit_out_regs);
+        let input_arbs = StripePtr::new(&mut self.input_arbs);
+        let output_arbs = StripePtr::new(&mut self.output_arbs);
+        let vc_arbs = StripePtr::new(&mut self.vc_arbs);
+        let tile_rx = StripePtr::new(&mut self.tile_rx);
+        let ledgers = StripePtr::new(&mut self.ledgers);
+        let flits_delivered = StripePtr::new(&mut self.flits_delivered);
+        let settled = StripePtr::new(&mut self.settled);
+        let skipped = StripePtr::new(&mut self.skipped);
+        let inbox = StripePtr::new(&mut self.inbox);
+        let quiet = StripePtr::new(&mut self.quiet);
+        move |r| {
+            // SAFETY: `r` is in bounds with no other live view (the
+            // contract above), so these stripes are disjoint from every
+            // other router's and live no longer than the slab borrow.
+            unsafe {
+                Lane {
+                    coords: *coords.element(r),
+                    inputs: inputs.stripe(r, pv),
+                    outputs: outputs.stripe(r, pv),
+                    link_in: link_in.stripe(r, P),
+                    credit_in: credit_in.stripe(r, pv),
+                    out_regs: out_regs.stripe(r, P),
+                    out_words: out_words.stripe(r, P),
+                    link_wires: link_wires.stripe(r, P),
+                    out_select: out_select.stripe(r, P),
+                    credit_out_next: credit_out_next.stripe(r, pv),
+                    credit_out_regs: credit_out_regs.stripe(r, pv),
+                    input_arbs: input_arbs.stripe(r, P),
+                    output_arbs: output_arbs.stripe(r, P),
+                    vc_arbs: vc_arbs.stripe(r, P),
+                    tile_rx: tile_rx.element(r),
+                    led: ledgers.element(r),
+                    flits_delivered: flits_delivered.element(r),
+                    settled: settled.element(r),
+                    skipped: skipped.element(r),
+                    inbox: inbox.element(r),
+                    quiet: quiet.element(r),
+                }
             }
         }
     }
 
     /// Evaluate router `r` (sequential helper; the single-router wrapper).
     pub fn eval_one(&mut self, r: usize) {
+        assert!(r < self.n, "router index out of range");
         let params = self.params;
-        let ptrs = self.ptrs();
-        // SAFETY: exclusive &mut self, one lane live.
-        eval_lane(&params, unsafe { Self::lane(ptrs, params.vcs, r) });
+        // SAFETY: `r` is in range and the only lane built.
+        let lane = unsafe { self.lanes() };
+        eval_lane(&params, lane(r));
     }
 
     /// Commit router `r` (sequential helper; the single-router wrapper).
     pub fn commit_one(&mut self, r: usize) {
-        let params = self.params;
-        let idle = self.idle;
-        let ptrs = self.ptrs();
-        // SAFETY: exclusive &mut self, one lane live.
-        commit_lane(&params, &idle, unsafe { Self::lane(ptrs, params.vcs, r) });
+        assert!(r < self.n, "router index out of range");
+        let (params, idle) = (self.params, self.idle);
+        // SAFETY: `r` is in range and the only lane built.
+        let lane = unsafe { self.lanes() };
+        commit_lane(&params, &idle, lane(r));
     }
 
     /// Evaluate every router, fanned out per `policy`. Bit-identical to a
     /// sequential sweep in index order.
     pub fn par_eval(&mut self, policy: ParPolicy) {
-        let params = self.params;
-        let ptrs = self.ptrs();
-        par_indexed(self.n, policy, move |r| {
-            // SAFETY: par_indexed runs each index exactly once; stripes
-            // are disjoint per index; the dispatch barrier outlives lanes.
-            eval_lane(&params, unsafe { Self::lane(ptrs, params.vcs, r) });
-        });
+        let (params, n) = (self.params, self.n);
+        // SAFETY: par_indexed runs each index below `n` exactly once.
+        let lane = unsafe { self.lanes() };
+        par_indexed(n, policy, move |r| eval_lane(&params, lane(r)));
     }
 
     /// Commit every router, fanned out per `policy`.
     pub fn par_commit(&mut self, policy: ParPolicy) {
-        let params = self.params;
-        let idle = self.idle;
-        let ptrs = self.ptrs();
-        par_indexed(self.n, policy, move |r| {
-            // SAFETY: as in `par_eval`.
-            commit_lane(&params, &idle, unsafe { Self::lane(ptrs, params.vcs, r) });
-        });
+        let (params, idle, n) = (self.params, self.idle, self.n);
+        // SAFETY: par_indexed runs each index below `n` exactly once.
+        let lane = unsafe { self.lanes() };
+        par_indexed(n, policy, move |r| commit_lane(&params, &idle, lane(r)));
     }
 }
 

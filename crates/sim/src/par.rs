@@ -374,13 +374,12 @@ impl WorkerPool {
         F: Fn(&mut T) + Sync,
     {
         let len = items.len();
-        let base = SendPtr(items.as_mut_ptr());
+        let base = StripePtr::new(items);
         self.for_each_index(len, lanes, move |i| {
-            let base = base;
             // SAFETY: each index is executed exactly once per dispatch, so
             // the &mut views are disjoint; the dispatch barrier keeps the
             // caller's &mut [T] borrow alive until all blocks finish.
-            f(unsafe { &mut *base.0.add(i) });
+            f(unsafe { base.element(i) });
         });
     }
 
@@ -512,21 +511,90 @@ unsafe fn erase<'a>(task: &'a (dyn Fn(usize) + Sync + 'a)) -> *const (dyn Fn(usi
     unsafe { std::mem::transmute(task) }
 }
 
-/// A raw pointer that may cross threads; used to hand each worker the base
-/// of the (disjointly indexed) component slice.
-struct SendPtr<T>(*mut T);
+/// The base pointer of an index-striped slab: the one audited primitive
+/// for splitting structure-of-arrays state (`RouterSlab`, `DeflectionSlab`,
+/// [`WorkerPool::for_each_mut`]) across a [`par_indexed`] dispatch.
+///
+/// Index `i`'s *stripe* of width `w` is the elements `i * w .. (i + 1) * w`.
+/// A `StripePtr` is `Copy`, `Send` and `Sync` (for `T: Send`), so every
+/// pool lane can capture it and carve out its own index's views. Creating
+/// one is safe; each view is `unsafe`, because the pointer no longer
+/// borrows the slab: the caller promises at most one live view per index
+/// and a slab that outlives every view.
+///
+/// ```
+/// use noc_sim::par::{par_indexed, ParPolicy, StripePtr};
+///
+/// // Two routers' worth of four ports each, plus one counter per router.
+/// let mut ports = vec![0u32; 8];
+/// let mut counts = vec![0u64; 2];
+/// let (p, c) = (StripePtr::new(&mut ports), StripePtr::new(&mut counts));
+/// par_indexed(2, ParPolicy::Threads(2), move |r| {
+///     // SAFETY: par_indexed runs each index exactly once, so router r's
+///     // stripe and counter have no other live view; both vectors outlive
+///     // the dispatch.
+///     let (stripe, count) = unsafe { (p.stripe(r, 4), c.element(r)) };
+///     stripe.fill(r as u32 + 1);
+///     *count += 4;
+/// });
+/// assert_eq!(ports, [1, 1, 1, 1, 2, 2, 2, 2]);
+/// assert_eq!(counts, [4, 4]);
+/// ```
+pub struct StripePtr<T> {
+    base: *mut T,
+    len: usize,
+}
 
-impl<T> Clone for SendPtr<T> {
+impl<T> StripePtr<T> {
+    /// The stripes of `slab`. The views stay valid only while `slab` is
+    /// neither moved, resized nor accessed any other way.
+    pub fn new(slab: &mut [T]) -> Self {
+        StripePtr {
+            base: slab.as_mut_ptr(),
+            len: slab.len(),
+        }
+    }
+
+    /// Index `index`'s stripe: the `width` elements from `index * width`.
+    ///
+    /// # Safety
+    /// The stripe must lie inside the slab, no other live view may overlap
+    /// it (in a [`par_indexed`] dispatch: each index runs exactly once),
+    /// and the slab must outlive `'a` without being accessed otherwise.
+    #[inline]
+    pub unsafe fn stripe<'a>(self, index: usize, width: usize) -> &'a mut [T] {
+        debug_assert!((index + 1) * width <= self.len, "stripe out of bounds");
+        // SAFETY: in bounds and exclusive for `'a` by the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(index * width), width) }
+    }
+
+    /// Element `index` — the stripe of width 1.
+    ///
+    /// # Safety
+    /// As for [`StripePtr::stripe`] with width 1.
+    #[inline]
+    pub unsafe fn element<'a>(self, index: usize) -> &'a mut T {
+        // SAFETY: the caller upholds `stripe`'s contract for width 1.
+        unsafe { &mut self.stripe(index, 1)[0] }
+    }
+}
+
+impl<T> Clone for StripePtr<T> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<T> Copy for SendPtr<T> {}
+impl<T> Copy for StripePtr<T> {}
 
-// SAFETY: the pointee elements are Send and every element is accessed by
-// exactly one thread per dispatch (each index runs exactly once).
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
+// SAFETY: `len` is plain data; `base` is only dereferenced through the
+// `unsafe` views, whose contract allows one live view per index — so
+// sending a StripePtr to another thread hands each element to at most one
+// thread at a time, which `T: Send` permits.
+unsafe impl<T: Send> Send for StripePtr<T> {}
+// SAFETY: as for Send — views taken through a shared StripePtr are still
+// one per index, so elements are only ever moved between threads, never
+// shared.
+unsafe impl<T: Send> Sync for StripePtr<T> {}
 
 fn worker_loop(shared: &Shared, index: usize) {
     loop {

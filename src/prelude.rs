@@ -1,6 +1,5 @@
 //! One-stop imports for application code and examples.
 
-pub use crate::apprun::{AppRun, RouteReport};
 pub use noc_apps::drm::DrmParams;
 pub use noc_apps::hiperlan2::{Hiperlan2Params, Modulation};
 pub use noc_apps::scenarios::Scenario;
@@ -24,7 +23,8 @@ pub use noc_mesh::controller::{
 };
 pub use noc_mesh::deflection::DeflectionFabric;
 pub use noc_mesh::deployment::{
-    DeployError, Deployment, DeploymentBuilder, DeploymentSnapshot, FabricRouteReport,
+    BackendParams, DeployError, Deployment, DeploymentBuilder, DeploymentSnapshot,
+    FabricRouteReport,
 };
 pub use noc_mesh::fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, PacketFabric, ProvisionError, SnapshotError,

@@ -1,21 +1,29 @@
 //! The chiplet hierarchy's degenerate-grid contract: a **1×1 chiplet
 //! grid is bit-identical to the equivalent flat fabric** for every inner
-//! `FabricKind` — same session handles, same delivered payload, same
-//! per-stream telemetry, same activity ledgers, and the same energy down
-//! to the f64 bits. With one chiplet there are no NoI links, so the
-//! hierarchy must add exactly nothing: not a cycle, not a ledger event,
-//! not a square micrometre of area.
+//! `FabricKind` and spill plane — same session handles, same delivered
+//! payload, same per-stream telemetry, same activity ledgers, and the same
+//! energy down to the f64 bits. With one chiplet there are no NoI links,
+//! so the hierarchy must add exactly nothing: not a cycle, not a ledger
+//! event, not a square micrometre of area. Both sides come out of the same
+//! deployment builder, so the grid's inner planes must honour every
+//! backend knob the flat fabric does.
+//!
+//! Also here: on a real grid, a deployment binds offered load to exactly
+//! the streams the chiplet fabric serves.
 
-use noc_mesh::tile::default_tile_kinds;
+use noc_mesh::chiplet::CHIPLET_BACKEND;
 use rcs_noc::prelude::*;
 
 /// A spill-heavy workload on a 4×4 mesh: several streams at 25 MHz (80
-/// Mbit/s lanes), so the CCN admits some onto circuits and spills the
+/// Mbit/s lanes), three of them out of `p0` asking for more lanes than one
+/// tile port has, so the CCN admits some onto circuits and spills the
 /// rest — exercising the route, spill and skip paths of every backend.
-fn workload(mesh: Mesh) -> Mapping {
+fn workload() -> TaskGraph {
     let mut g = TaskGraph::new("chiplet-parity");
     let procs: Vec<_> = (0..8).map(|i| g.add_process(format!("p{i}"))).collect();
     let edges = [
+        (0, 7, 240.0),
+        (0, 3, 100.0),
         (0, 5, 150.0),
         (1, 4, 60.0),
         (2, 7, 240.0),
@@ -32,41 +40,36 @@ fn workload(mesh: Mesh) -> Mapping {
             format!("e{k}"),
         );
     }
-    let ccn = Ccn::new(mesh, RouterParams::paper(), MegaHertz(25.0));
-    ccn.map_with_spill(&g, &default_tile_kinds(&mesh))
-        .expect("spill admission fails only on placement")
+    g
 }
 
-/// The flat backend a 1×1 chiplet grid must be indistinguishable from,
-/// constructed exactly as `ChipletFabric`'s inner planes are.
-fn flat_fabric(kind: FabricKind, mesh: Mesh) -> Box<dyn Fabric> {
-    match kind {
-        FabricKind::Circuit => Box::new(Soc::new(mesh, RouterParams::paper())),
-        FabricKind::Hybrid => Box::new(HybridFabric::new(
-            mesh,
-            RouterParams::paper(),
-            PacketParams::paper(),
-            PacketFabric::DEFAULT_PACKET_WORDS,
-        )),
-        FabricKind::Deflection => Box::new(DeflectionFabric::new(mesh, DeflectionParams::paper())),
-        FabricKind::Packet => Box::new(PacketFabric::new(
-            mesh,
-            PacketParams::paper(),
-            PacketFabric::DEFAULT_PACKET_WORDS,
-        )),
-    }
-}
-
-fn assert_bit_identical(kind: FabricKind) {
-    let mesh = Mesh::new(4, 4);
-    let mapping = workload(mesh);
-    let mut flat = flat_fabric(kind, mesh);
-    let mut chip = ChipletFabric::paper(mesh, 1, 1, kind);
+fn assert_bit_identical(kind: FabricKind, deflection_spill: bool) {
+    let label = format!("{kind} (deflection spill: {deflection_spill})");
+    let graph = workload();
+    let deploy = |builder: DeploymentBuilder<'_>| {
+        builder
+            .mesh(4, 4)
+            .clock(MegaHertz(25.0))
+            .fabric(kind)
+            .spill(true)
+            .deflection_spill(deflection_spill)
+            .build()
+            .expect("spill admission deploys")
+    };
+    let mut flat_dep = deploy(Deployment::builder(&graph));
+    let mut chip_dep = deploy(Deployment::builder(&graph).chiplets(1, 1));
+    let flat = flat_dep.fabric_mut();
+    let chip = chip_dep.fabric_mut();
+    assert_eq!(
+        chip.snapshot().backend(),
+        CHIPLET_BACKEND,
+        "{label}: a grid"
+    );
     assert_eq!(chip.kind(), kind, "the hierarchy is kind-transparent");
 
-    let flat_ids = flat.provision(&mapping).expect("legal mapping");
-    let chip_ids = Fabric::provision(&mut chip, &mapping).expect("legal mapping");
-    assert_eq!(flat_ids, chip_ids, "{kind}: same session handles");
+    let flat_ids: Vec<StreamId> = flat.stream_stats().iter().map(|s| s.id).collect();
+    let chip_ids: Vec<StreamId> = chip.stream_stats().iter().map(|s| s.id).collect();
+    assert_eq!(flat_ids, chip_ids, "{label}: same session handles");
 
     for (k, &id) in flat_ids.iter().enumerate() {
         let words: Vec<u16> = (0..20 + 3 * k as u16)
@@ -74,70 +77,146 @@ fn assert_bit_identical(kind: FabricKind) {
             .collect();
         assert_eq!(
             flat.inject_stream(id, &words),
-            Fabric::inject_stream(&mut chip, id, &words),
-            "{kind}: same acceptance on stream {k}"
+            chip.inject_stream(id, &words),
+            "{label}: same acceptance on stream {k}"
         );
     }
     flat.finish_injection();
     chip.finish_injection();
     flat.run(5_000);
-    Fabric::run(&mut chip, 5_000);
-    assert!(flat.is_quiescent(), "{kind}: flat failed to drain");
-    assert!(
-        Fabric::is_quiescent(&chip),
-        "{kind}: chiplet failed to drain"
-    );
+    chip.run(5_000);
+    assert!(flat.is_quiescent(), "{label}: flat failed to drain");
+    assert!(chip.is_quiescent(), "{label}: chiplet failed to drain");
 
     for &id in &flat_ids {
         assert_eq!(
             flat.drain_stream(id),
-            Fabric::drain_stream(&mut chip, id),
-            "{kind}: payload diverged on {id:?}"
+            chip.drain_stream(id),
+            "{label}: payload diverged on {id:?}"
         );
     }
     assert_eq!(
         flat.stream_stats(),
-        Fabric::stream_stats(&chip),
-        "{kind}: per-stream telemetry diverged"
+        chip.stream_stats(),
+        "{label}: per-stream telemetry diverged"
     );
     assert_eq!(
         flat.activity(),
-        Fabric::activity(&chip),
-        "{kind}: activity ledgers diverged"
+        chip.activity(),
+        "{label}: activity ledgers diverged"
     );
 
     let model = EnergyModel::calibrated(MegaHertz(25.0));
     assert_eq!(
         flat.area(&model).value().to_bits(),
-        Fabric::area(&chip, &model).value().to_bits(),
-        "{kind}: a linkless NoI must add zero area"
+        chip.area(&model).value().to_bits(),
+        "{label}: a linkless NoI must add zero area"
     );
     assert_eq!(
         flat.total_energy(&model).value().to_bits(),
-        Fabric::total_energy(&chip, &model).value().to_bits(),
-        "{kind}: energy diverged"
+        chip.total_energy(&model).value().to_bits(),
+        "{label}: energy diverged"
     );
-    assert_eq!(flat.total_overflows(), Fabric::total_overflows(&chip));
-    assert_eq!(flat.spilled_streams(), Fabric::spilled_streams(&chip));
-    assert_eq!(flat.spilled_words(), Fabric::spilled_words(&chip));
+    assert_eq!(flat.total_overflows(), chip.total_overflows());
+    assert_eq!(flat.spilled_streams(), chip.spilled_streams());
+    assert_eq!(flat.spilled_words(), chip.spilled_words());
+    if kind == FabricKind::Hybrid {
+        assert!(flat.spilled_words() > 0, "{label}: the workload must spill");
+    }
 }
 
 #[test]
 fn one_by_one_chiplet_grid_is_bit_identical_to_flat_circuit() {
-    assert_bit_identical(FabricKind::Circuit);
+    assert_bit_identical(FabricKind::Circuit, false);
 }
 
 #[test]
 fn one_by_one_chiplet_grid_is_bit_identical_to_flat_hybrid() {
-    assert_bit_identical(FabricKind::Hybrid);
+    assert_bit_identical(FabricKind::Hybrid, false);
+}
+
+#[test]
+fn one_by_one_chiplet_grid_is_bit_identical_to_flat_hybrid_with_deflection_spill() {
+    assert_bit_identical(FabricKind::Hybrid, true);
 }
 
 #[test]
 fn one_by_one_chiplet_grid_is_bit_identical_to_flat_deflection() {
-    assert_bit_identical(FabricKind::Deflection);
+    assert_bit_identical(FabricKind::Deflection, false);
 }
 
 #[test]
 fn one_by_one_chiplet_grid_is_bit_identical_to_flat_packet() {
-    assert_bit_identical(FabricKind::Packet);
+    assert_bit_identical(FabricKind::Packet, false);
+}
+
+/// An 8×8 mesh of 64 processes, each sending to a partner on another
+/// chiplet of a 2×2 grid at 1.5 lanes' worth of bandwidth: far more
+/// boundary traffic than the circuit planes' exit tiles have lanes for.
+fn oversubscribed_grid_workload() -> TaskGraph {
+    let mut g = TaskGraph::new("oversubscribed-grid");
+    let procs: Vec<_> = (0..64).map(|i| g.add_process(format!("p{i}"))).collect();
+    let lane = Ccn::new(Mesh::new(8, 8), RouterParams::paper(), MegaHertz(25.0)).lane_capacity();
+    for (i, &p) in procs.iter().enumerate() {
+        let partner = procs[(i * 37 + 11) % 64];
+        if partner != p {
+            g.add_edge(
+                p,
+                partner,
+                Bandwidth(lane.value() * 1.5),
+                TrafficShape::Streaming,
+                format!("e{i}"),
+            );
+        }
+    }
+    g
+}
+
+#[test]
+fn circuit_chiplets_with_spill_bind_only_served_streams() {
+    let graph = oversubscribed_grid_workload();
+    let mesh = Mesh::new(8, 8);
+    let mut dep = Deployment::builder(&graph)
+        .mesh_topology(mesh)
+        .clock(MegaHertz(25.0))
+        .seed(13)
+        .fabric(FabricKind::Circuit)
+        .spill(true)
+        .chiplets(2, 2)
+        .build()
+        .expect("spill admission deploys");
+
+    // What the grid serves for this mapping, from an identical fabric.
+    let mut probe = ChipletFabric::paper(mesh, 2, 2, FabricKind::Circuit);
+    let served = Fabric::provision(&mut probe, dep.mapping()).expect("legal mapping");
+    let unserved_cross = dep
+        .mapping()
+        .streams()
+        .iter()
+        .filter(|ms| !ms.spilled && probe.chip_of(ms.src) != probe.chip_of(ms.dst))
+        .filter(|ms| !served.contains(&ms.id))
+        .count();
+    assert!(
+        unserved_cross > 0,
+        "non-vacuous: some circuit-routed cross-chiplet stream must find no segment lanes"
+    );
+
+    let bound: Vec<StreamId> = dep.report(&graph).iter().map(|r| r.stream).collect();
+    assert_eq!(
+        bound, served,
+        "offered load binds exactly the served streams"
+    );
+
+    dep.run(2_000);
+    dep.settle(20_000);
+    let stats = dep.fabric().stream_stats();
+    let reported: Vec<StreamId> = stats.iter().map(|s| s.id).collect();
+    assert_eq!(
+        reported, bound,
+        "the grid reports exactly the bound streams"
+    );
+    for s in &stats {
+        assert!(s.injected_words > 0, "{:?} carried no traffic", s.id);
+        assert_eq!(s.delivered_words, s.injected_words, "{:?} lost words", s.id);
+    }
 }

@@ -27,6 +27,24 @@
 //!
 //! The router does no run-time scheduling: once lanes are configured the
 //! streams are physically separated, which is the paper's core argument.
+//!
+//! # Cost
+//!
+//! Mapping runs before every application start, deployment and fleet
+//! admission, so it is sized for 1024-process graphs on 32×32 meshes. For
+//! `n` processes, `e` edges, `c` clusters, `t` tiles and `L` lanes per port:
+//!
+//! - clustering costs one O(e log e + n·h) round per merge plus a final
+//!   one, `h` being the longest representative chain; a graph within the
+//!   partner bound needs only the final round, with `h = 0`;
+//! - placement lists each cluster's incident edges once, then prices every
+//!   free tile for every cluster at O(1 + d) for its `d` incident edges:
+//!   O(c log c + t · (c + e)) in all;
+//! - allocation is O(e log e) to aggregate demands, then one BFS per demand
+//!   over a flat lane-occupancy array, O(t · L) at worst and usually far
+//!   less (the search stops at the destination). Runtime admission
+//!   ([`Ccn::admit_stream`]) adds O(t · L) plus one pass over the live
+//!   circuits' hops to seed the array.
 
 use crate::soc::Soc;
 use crate::stream::{AdmitError, StreamDemand, StreamId};
@@ -41,6 +59,7 @@ use noc_sim::units::{Bandwidth, MegaHertz};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 /// One router traversal of an allocated circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -256,46 +275,50 @@ impl Mapping {
     /// serves exactly these handles (the circuit-only `Soc` skips the
     /// spilled ones, which it cannot carry).
     pub fn streams(&self) -> Vec<MappedStream> {
-        let mut out = Vec::new();
-        for (i, route) in self.routes.iter().enumerate() {
-            if route.paths.is_empty() {
-                continue; // on-tile communication never touches the NoC
-            }
-            out.push(MappedStream {
-                id: StreamId(out.len() as u32),
-                src: route.src().expect("non-empty paths"),
-                dst: route.dst().expect("non-empty paths"),
-                demand: route.demand,
-                spilled: false,
-                route: Some(i),
-                spill: None,
+        self.stream_iter().collect()
+    }
+
+    /// [`Mapping::streams`] without the `Vec`: the one place the
+    /// [`StreamId`] numbering is defined.
+    fn stream_iter(&self) -> impl Iterator<Item = MappedStream> + '_ {
+        let circuits = self
+            .routes
+            .iter()
+            .enumerate()
+            // On-tile communication never touches the NoC.
+            .filter(|(_, route)| !route.paths.is_empty())
+            .map(|(i, route)| {
+                let src = route.src().expect("non-empty paths");
+                let dst = route.dst().expect("non-empty paths");
+                (src, dst, route.demand, Some(i), None)
             });
-        }
-        for (i, spill) in self.spilled.iter().enumerate() {
-            out.push(MappedStream {
-                id: StreamId(out.len() as u32),
-                src: spill.src,
-                dst: spill.dst,
-                demand: spill.demand,
-                spilled: true,
-                route: None,
-                spill: Some(i),
-            });
-        }
-        out
+        let spills = self
+            .spilled
+            .iter()
+            .enumerate()
+            .map(|(i, spill)| (spill.src, spill.dst, spill.demand, None, Some(i)));
+        circuits
+            .chain(spills)
+            .enumerate()
+            .map(|(id, (src, dst, demand, route, spill))| MappedStream {
+                id: StreamId(id as u32),
+                src,
+                dst,
+                demand,
+                spilled: spill.is_some(),
+                route,
+                spill,
+            })
     }
 
     /// The guaranteed-throughput ask of stream `id`, for re-admission
     /// after a [`crate::fabric::Fabric::release`].
     pub fn stream_demand(&self, id: StreamId) -> Option<StreamDemand> {
-        self.streams()
-            .into_iter()
-            .find(|s| s.id == id)
-            .map(|s| StreamDemand {
-                src: s.src,
-                dst: s.dst,
-                demand: s.demand,
-            })
+        self.stream_iter().nth(id.0 as usize).map(|s| StreamDemand {
+            src: s.src,
+            dst: s.dst,
+            demand: s.demand,
+        })
     }
 
     /// Apply the mapping directly to a SoC's routers (the instantaneous
@@ -393,61 +416,71 @@ pub struct Ccn {
     clock: MegaHertz,
 }
 
-/// Lane-occupancy bookkeeping during allocation.
+/// Lane-occupancy bookkeeping during allocation: flat `bool` arrays,
+/// `true` for a free lane, claimed lowest lane first.
 struct Allocator {
-    /// Free lanes per directed link, keyed by `(node, out port)`.
-    link_free: HashMap<(NodeId, Port), Vec<bool>>,
-    /// Free tile transmit lanes per node (tile → router direction).
-    tx_free: Vec<Vec<bool>>,
-    /// Free tile receive lanes per node (router → tile direction).
-    rx_free: Vec<Vec<bool>>,
+    /// Lanes per port.
+    lanes: usize,
+    /// Free lanes per directed link, indexed
+    /// `(node · Port::COUNT + out port) · lanes + lane`. The slots of links
+    /// the mesh lacks (border ports) and of `Port::Tile` are never free, so
+    /// they offer zero lanes and killing them changes nothing.
+    link_free: Vec<bool>,
+    /// Free tile transmit lanes (tile → router), indexed `node · lanes + lane`.
+    tx_free: Vec<bool>,
+    /// Free tile receive lanes (router → tile), indexed `node · lanes + lane`.
+    rx_free: Vec<bool>,
 }
 
 impl Allocator {
     fn new(mesh: &Mesh, params: &RouterParams) -> Allocator {
-        let mut link_free = HashMap::new();
+        let lanes = params.lanes_per_port;
+        let mut alloc = Allocator {
+            lanes,
+            link_free: vec![false; mesh.nodes() * Port::COUNT * lanes],
+            tx_free: vec![true; mesh.nodes() * lanes],
+            rx_free: vec![true; mesh.nodes() * lanes],
+        };
         for (from, port, _) in mesh.links() {
-            link_free.insert((from, port), vec![true; params.lanes_per_port]);
+            let link = alloc.link(from, port);
+            alloc.link_free[link].fill(true);
         }
-        Allocator {
-            link_free,
-            tx_free: (0..mesh.nodes())
-                .map(|_| vec![true; params.lanes_per_port])
-                .collect(),
-            rx_free: (0..mesh.nodes())
-                .map(|_| vec![true; params.lanes_per_port])
-                .collect(),
-        }
+        alloc
+    }
+
+    /// The `link_free` slots of the directed link leaving `node` by `port`.
+    fn link(&self, node: NodeId, port: Port) -> Range<usize> {
+        let first = (node.0 * Port::COUNT + port.index()) * self.lanes;
+        first..first + self.lanes
+    }
+
+    /// The `tx_free`/`rx_free` slots of `node`'s tile interface.
+    fn tile(&self, node: NodeId) -> Range<usize> {
+        node.0 * self.lanes..(node.0 + 1) * self.lanes
     }
 
     fn link_free_count(&self, node: NodeId, port: Port) -> usize {
-        self.link_free
-            .get(&(node, port))
-            .map_or(0, |v| v.iter().filter(|&&f| f).count())
+        free_count(&self.link_free[self.link(node, port)])
     }
 
     /// Mark every lane of a directed link as unusable (fault injection).
     fn kill_link(&mut self, node: NodeId, port: Port) {
-        if let Some(lanes) = self.link_free.get_mut(&(node, port)) {
+        let link = self.link(node, port);
+        if let Some(lanes) = self.link_free.get_mut(link) {
             lanes.fill(false);
         }
     }
 
     /// Claim `k` lanes on a directed link; returns their indices.
     fn claim_link(&mut self, node: NodeId, port: Port, k: usize) -> Vec<usize> {
-        let lanes = self.link_free.get_mut(&(node, port)).expect("link exists");
-        let mut out = Vec::with_capacity(k);
-        for (i, free) in lanes.iter_mut().enumerate() {
-            if *free && out.len() < k {
-                *free = false;
-                out.push(i);
-            }
-        }
-        assert_eq!(out.len(), k, "claim_link called without capacity check");
-        out
+        let link = self.link(node, port);
+        Allocator::claim(&mut self.link_free[link], k)
+            .expect("claim_link called without capacity check")
     }
 
-    fn claim_tile(pool: &mut [bool], k: usize) -> Option<Vec<usize>> {
+    /// Claim the `k` lowest free lanes of `pool`, or `None` (with the free
+    /// ones claimed) when it has fewer.
+    fn claim(pool: &mut [bool], k: usize) -> Option<Vec<usize>> {
         let mut out = Vec::with_capacity(k);
         for (i, free) in pool.iter_mut().enumerate() {
             if *free && out.len() < k {
@@ -465,17 +498,24 @@ impl Allocator {
     fn occupy_route(&mut self, route: &EdgeRoute) {
         for path in &route.paths {
             for hop in path {
+                let tile = self.tile(hop.node);
                 if hop.in_port == Port::Tile {
-                    self.tx_free[hop.node.0][hop.in_lane] = false;
+                    self.tx_free[tile.clone()][hop.in_lane] = false;
                 }
                 if hop.out_port == Port::Tile {
-                    self.rx_free[hop.node.0][hop.out_lane] = false;
-                } else if let Some(lanes) = self.link_free.get_mut(&(hop.node, hop.out_port)) {
-                    lanes[hop.out_lane] = false;
+                    self.rx_free[tile][hop.out_lane] = false;
+                } else {
+                    let link = self.link(hop.node, hop.out_port);
+                    self.link_free[link][hop.out_lane] = false;
                 }
             }
         }
     }
+}
+
+/// Number of free lanes in an occupancy slice.
+fn free_count(pool: &[bool]) -> usize {
+    pool.iter().filter(|&&f| f).count()
 }
 
 impl Ccn {
@@ -559,10 +599,12 @@ impl Ccn {
     ) -> Result<Mapping, MappingError> {
         assert_eq!(tile_kinds.len(), self.mesh.nodes(), "one kind per tile");
         let clusters = self.cluster(graph);
+        // Each cluster is named by its representative, which maps to itself.
         let cluster_count = clusters
             .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len();
+            .enumerate()
+            .filter(|&(i, &c)| i == c)
+            .count();
         if cluster_count > self.mesh.nodes() {
             return Err(MappingError::NotEnoughTiles {
                 processes: cluster_count,
@@ -590,12 +632,18 @@ impl Ccn {
     /// distinct-partner counts fit (or everything is one cluster, in which
     /// case all communication is on-tile and trivially feasible).
     ///
+    /// Each round costs O(e log e + n·h) for `e` edges, `n` processes and
+    /// representative chains of length `h`, and there is one round per
+    /// merge plus a final one. Graphs that respect the partner bound, such
+    /// as 1024-process permutation graphs, finish in that single round.
+    ///
     /// Returns, per process index, its cluster's representative.
     fn cluster(&self, graph: &TaskGraph) -> Vec<usize> {
         let n = graph.process_count();
         let mut rep: Vec<usize> = (0..n).collect();
-        // Small n: resolve representatives by scanning (no union-find rank
-        // machinery needed at task-graph sizes).
+        // Representatives are resolved by walking parent links. Chains only
+        // grow by merges, which happen only past the partner bound, so no
+        // union-find rank or path-compression machinery is needed.
         fn find(rep: &[usize], mut i: usize) -> usize {
             while rep[i] != i {
                 i = rep[i];
@@ -671,70 +719,73 @@ impl Ccn {
     /// Greedy spatial mapping of clusters: heaviest communicators first,
     /// each to the free tile minimising bandwidth-weighted distance to
     /// already-placed partners, with affinity preference.
+    ///
+    /// Each cluster's incident edges are listed once, in graph-edge order,
+    /// so a candidate tile costs O(1 + d) for the cluster's `d` incident
+    /// edges rather than a scan of the whole graph: O(c log c + t · (c + e))
+    /// for `e` edges, `c` clusters and `t` tiles. Costs add the same f64
+    /// terms in the same order as a full edge scan, so ties and roundings —
+    /// and therefore placements — are identical to it.
     fn place(
         &self,
         graph: &TaskGraph,
         tile_kinds: &[TileKind],
         clusters: &[usize],
     ) -> Vec<(ProcessId, NodeId)> {
-        // External bandwidth per cluster.
-        let mut volume: HashMap<usize, f64> = HashMap::new();
+        let n = clusters.len();
+        // Per cluster representative: `(bandwidth, partner)` for every
+        // edge crossing its border, in graph-edge order.
+        let mut incident: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
         for (_, e) in graph.edges() {
-            let s = clusters[e.src.0];
-            let d = clusters[e.dst.0];
+            let (s, d) = (clusters[e.src.0], clusters[e.dst.0]);
             if s != d {
-                *volume.entry(s).or_default() += e.bandwidth.value();
-                *volume.entry(d).or_default() += e.bandwidth.value();
+                incident[s].push((e.bandwidth.value(), d));
+                incident[d].push((e.bandwidth.value(), s));
             }
         }
-        let mut order: Vec<usize> = clusters
+        // External bandwidth per cluster.
+        let volume: Vec<f64> = incident
             .iter()
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
+            .map(|edges| edges.iter().fold(0.0, |v, &(bw, _)| v + bw))
             .collect();
-        order.sort_by(|a, b| {
-            let va = volume.get(a).copied().unwrap_or(0.0);
-            let vb = volume.get(b).copied().unwrap_or(0.0);
-            vb.partial_cmp(&va)
+        // Affinity: any member process's hint counts.
+        let mut hints: Vec<Vec<&str>> = vec![Vec::new(); n];
+        for (id, p) in graph.processes() {
+            if let Some(hint) = p.affinity.as_deref() {
+                hints[clusters[id.0]].push(hint);
+            }
+        }
+        let mut order: Vec<usize> = (0..n).filter(|&i| clusters[i] == i).collect();
+        order.sort_by(|&a, &b| {
+            volume[b]
+                .partial_cmp(&volume[a])
                 .expect("traffic volumes are finite sums of finite bandwidths")
-                .then(a.cmp(b))
+                .then(a.cmp(&b))
         });
 
-        let mut placed: HashMap<usize, NodeId> = HashMap::new();
+        let mut placed: Vec<Option<NodeId>> = vec![None; n];
         let mut used = vec![false; self.mesh.nodes()];
         for cid in order {
-            // Affinity: any member process's hint counts.
-            let hints: Vec<&str> = graph
-                .processes()
-                .filter(|(id, _)| clusters[id.0] == cid)
-                .filter_map(|(_, p)| p.affinity.as_deref())
+            let partners: Vec<(f64, NodeId)> = incident[cid]
+                .iter()
+                .filter_map(|&(bw, other)| placed[other].map(|node| (bw, node)))
                 .collect();
+            let hints = &hints[cid];
             let mut best: Option<(f64, NodeId)> = None;
             for node in self.mesh.iter() {
                 if used[node.0] {
                     continue;
                 }
                 let mut cost = 0.0;
-                for (_, e) in graph.edges() {
-                    let (s, d) = (clusters[e.src.0], clusters[e.dst.0]);
-                    let other = if s == cid && d != cid {
-                        d
-                    } else if d == cid && s != cid {
-                        s
-                    } else {
-                        continue;
-                    };
-                    if let Some(&other_node) = placed.get(&other) {
-                        cost += e.bandwidth.value() * self.mesh.distance(node, other_node) as f64;
-                    }
+                for &(bw, other_node) in &partners {
+                    cost += bw * self.mesh.distance(node, other_node) as f64;
                 }
                 let affinity_ok = hints.is_empty()
                     || hints.iter().any(|h| tile_kinds[node.0].matches_affinity(h));
                 if !affinity_ok {
                     // Affinity miss: pay the volume again — placement
                     // still succeeds when no matching tile is free.
-                    cost += volume.get(&cid).copied().unwrap_or(0.0) + 1.0;
+                    cost += volume[cid] + 1.0;
                 }
                 if best.is_none_or(|(c, _)| cost < c) {
                     best = Some((cost, node));
@@ -742,15 +793,13 @@ impl Ccn {
             }
             let (_, node) = best.expect("cluster count checked before placement");
             used[node.0] = true;
-            placed.insert(cid, node);
+            placed[cid] = Some(node);
         }
 
-        let mut out: Vec<(ProcessId, NodeId)> = graph
+        graph
             .processes()
-            .map(|(id, _)| (id, placed[&clusters[id.0]]))
-            .collect();
-        out.sort();
-        out
+            .map(|(id, _)| (id, placed[clusters[id.0]].expect("every cluster placed")))
+            .collect()
     }
 
     /// Allocate lane paths per tile-to-tile demand, heaviest first. All
@@ -889,17 +938,15 @@ impl Ccn {
             return Err(AdmitError::NoFreeLanes);
         };
 
-        let free = |pool: &[bool]| pool.iter().filter(|&&f| f).count();
-        if free(&alloc.tx_free[src.0]) < needed || free(&alloc.rx_free[dst.0]) < needed {
-            let node = if free(&alloc.tx_free[src.0]) < needed {
-                src
-            } else {
-                dst
-            };
-            return Err(AdmitError::TileLanesExhausted { node });
+        let (src_tile, dst_tile) = (alloc.tile(src), alloc.tile(dst));
+        if free_count(&alloc.tx_free[src_tile.clone()]) < needed {
+            return Err(AdmitError::TileLanesExhausted { node: src });
         }
-        let tx = Allocator::claim_tile(&mut alloc.tx_free[src.0], needed).expect("checked above");
-        let rx = Allocator::claim_tile(&mut alloc.rx_free[dst.0], needed).expect("checked above");
+        if free_count(&alloc.rx_free[dst_tile.clone()]) < needed {
+            return Err(AdmitError::TileLanesExhausted { node: dst });
+        }
+        let tx = Allocator::claim(&mut alloc.tx_free[src_tile], needed).expect("checked above");
+        let rx = Allocator::claim(&mut alloc.rx_free[dst_tile], needed).expect("checked above");
 
         // Claim link lanes hop by hop.
         let mut link_lanes: Vec<Vec<usize>> = Vec::new(); // [hop][parallel]
@@ -993,7 +1040,9 @@ impl Ccn {
             .find(|&p| self.mesh.neighbour(from, p) == Some(to))
     }
 
-    /// Shortest path by BFS over links with at least `needed` free lanes.
+    /// Shortest path by BFS over links with at least `needed` free lanes:
+    /// neighbours in [`Port::NEIGHBOURS`] order, FIFO, so ties always break
+    /// the same way. O(t · L) at worst for `t` tiles and `L` lanes per port.
     fn bfs(
         &self,
         src: NodeId,
@@ -1001,7 +1050,7 @@ impl Ccn {
         needed: usize,
         alloc: &Allocator,
     ) -> Option<Vec<NodeId>> {
-        let mut prev: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut prev: Vec<Option<NodeId>> = vec![None; self.mesh.nodes()];
         let mut queue = VecDeque::from([src]);
         let mut seen = vec![false; self.mesh.nodes()];
         seen[src.0] = true;
@@ -1009,7 +1058,7 @@ impl Ccn {
             if node == dst {
                 let mut path = vec![dst];
                 let mut cur = dst;
-                while let Some(&p) = prev.get(&cur) {
+                while let Some(p) = prev[cur.0] {
                     path.push(p);
                     cur = p;
                 }
@@ -1020,7 +1069,7 @@ impl Ccn {
                 if let Some(next) = self.mesh.neighbour(node, port) {
                     if !seen[next.0] && alloc.link_free_count(node, port) >= needed {
                         seen[next.0] = true;
-                        prev.insert(next, node);
+                        prev[next.0] = Some(node);
                         queue.push_back(next);
                     }
                 }
@@ -1053,6 +1102,148 @@ impl Ccn {
 mod tests {
     use super::*;
     use noc_apps::taskgraph::TrafficShape;
+    use proptest::prelude::*;
+
+    /// The full-edge-scan placement `Ccn::place` replaced, kept as its
+    /// oracle: for every cluster and every free tile it rescans the whole
+    /// edge list, O(c · t · e).
+    fn place_by_edge_scan(
+        ccn: &Ccn,
+        graph: &TaskGraph,
+        tile_kinds: &[TileKind],
+        clusters: &[usize],
+    ) -> Vec<(ProcessId, NodeId)> {
+        let mut volume: BTreeMap<usize, f64> = BTreeMap::new();
+        for (_, e) in graph.edges() {
+            let s = clusters[e.src.0];
+            let d = clusters[e.dst.0];
+            if s != d {
+                *volume.entry(s).or_default() += e.bandwidth.value();
+                *volume.entry(d).or_default() += e.bandwidth.value();
+            }
+        }
+        let mut order: Vec<usize> = clusters
+            .iter()
+            .copied()
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        order.sort_by(|a, b| {
+            let va = volume.get(a).copied().unwrap_or(0.0);
+            let vb = volume.get(b).copied().unwrap_or(0.0);
+            vb.partial_cmp(&va).unwrap().then(a.cmp(b))
+        });
+
+        let mut placed: BTreeMap<usize, NodeId> = BTreeMap::new();
+        let mut used = vec![false; ccn.mesh.nodes()];
+        for cid in order {
+            let hints: Vec<&str> = graph
+                .processes()
+                .filter(|(id, _)| clusters[id.0] == cid)
+                .filter_map(|(_, p)| p.affinity.as_deref())
+                .collect();
+            let mut best: Option<(f64, NodeId)> = None;
+            for node in ccn.mesh.iter() {
+                if used[node.0] {
+                    continue;
+                }
+                let mut cost = 0.0;
+                for (_, e) in graph.edges() {
+                    let (s, d) = (clusters[e.src.0], clusters[e.dst.0]);
+                    let other = if s == cid && d != cid {
+                        d
+                    } else if d == cid && s != cid {
+                        s
+                    } else {
+                        continue;
+                    };
+                    if let Some(&other_node) = placed.get(&other) {
+                        cost += e.bandwidth.value() * ccn.mesh.distance(node, other_node) as f64;
+                    }
+                }
+                let affinity_ok = hints.is_empty()
+                    || hints.iter().any(|h| tile_kinds[node.0].matches_affinity(h));
+                if !affinity_ok {
+                    cost += volume.get(&cid).copied().unwrap_or(0.0) + 1.0;
+                }
+                if best.is_none_or(|(c, _)| cost < c) {
+                    best = Some((cost, node));
+                }
+            }
+            let (_, node) = best.expect("cluster count fits the mesh");
+            used[node.0] = true;
+            placed.insert(cid, node);
+        }
+
+        let mut out: Vec<(ProcessId, NodeId)> = graph
+            .processes()
+            .map(|(id, _)| (id, placed[&clusters[id.0]]))
+            .collect();
+        out.sort();
+        out
+    }
+
+    proptest! {
+        /// `place` returns exactly the oracle's placement — the same tile
+        /// for every process, not merely an equally cheap one — on random
+        /// graphs with affinity hints, partner pressure that forces
+        /// `cluster` merges, and bandwidths that are small integers (cost
+        /// ties), fractions, or so large that smaller terms round away
+        /// (the f64 summation order decides).
+        #[test]
+        fn place_matches_the_edge_scan_oracle(
+            w in 1usize..7,
+            h in 1usize..7,
+            n_raw in 0usize..39,
+            hint_codes in prop::collection::vec(0u8..8, 40),
+            kind_codes in prop::collection::vec(0u8..5, 36),
+            raw_edges in prop::collection::vec(any::<u64>(), 0..90),
+        ) {
+            // 2..=40 processes, at most five more than the mesh has tiles,
+            // so clustering usually makes them fit.
+            let n = 2 + n_raw % (w * h + 4).min(39);
+            let palette =
+                [TileKind::Gpp, TileKind::Dsp, TileKind::Asic, TileKind::Dsrh, TileKind::Fpga];
+            let hints = ["DSP", "FFT", "ASIC", "GPP", "FPGA"];
+            let c = ccn(w, h);
+            let tile_kinds: Vec<TileKind> =
+                (0..w * h).map(|i| palette[kind_codes[i] as usize]).collect();
+            let mut g = TaskGraph::new("random");
+            let ids: Vec<ProcessId> = (0..n)
+                .map(|i| match hints.get(hint_codes[i] as usize) {
+                    Some(&hint) => g.add_process_with_affinity(format!("p{i}"), hint),
+                    None => g.add_process(format!("p{i}")),
+                })
+                .collect();
+            for r in raw_edges {
+                let (s, d) = ((r % n as u64) as usize, ((r >> 8) % n as u64) as usize);
+                if s == d {
+                    continue;
+                }
+                let bw = match (r >> 16) % 3 {
+                    0 => ((r >> 20) % 200) as f64,
+                    1 => (r >> 11) as f64 / (1u64 << 53) as f64 * 300.0,
+                    // Near 2^53: the integral terms above round away
+                    // against it, so the summation order shows.
+                    _ => (r >> 11) as f64,
+                };
+                g.add_edge(ids[s], ids[d], Bandwidth(bw), TrafficShape::Streaming, "e");
+            }
+
+            let clusters = c.cluster(&g);
+            let count = clusters.iter().enumerate().filter(|&(i, &r)| i == r).count();
+            if count <= w * h {
+                prop_assert_eq!(
+                    c.place(&g, &tile_kinds, &clusters),
+                    place_by_edge_scan(&c, &g, &tile_kinds, &clusters),
+                    "{}x{} mesh, clusters {:?}",
+                    w,
+                    h,
+                    clusters
+                );
+            }
+        }
+    }
 
     fn kinds(n: usize) -> Vec<TileKind> {
         let palette = [
@@ -1458,5 +1649,40 @@ mod tests {
         let tiles = vec![TileKind::Gpp, TileKind::Dsp];
         let m = c.map(&g, &tiles).unwrap();
         assert_eq!(m.node_of(p), Some(NodeId(1)), "DSP process on DSP tile");
+    }
+
+    #[test]
+    fn dead_link_the_mesh_lacks_changes_nothing() {
+        // (0,0) has no northern neighbour: killing that "link" is a no-op,
+        // exactly as a missing border link offers zero lanes anyway.
+        let c = ccn(3, 3);
+        let g = pipeline(5, 150.0);
+        let border = [(c.mesh.node(0, 0), Port::North)];
+        assert_eq!(
+            c.map_with_faults(&g, &kinds(9), &border).unwrap(),
+            c.map(&g, &kinds(9)).unwrap()
+        );
+    }
+
+    #[test]
+    fn link_listed_twice_is_still_routed_around() {
+        let c = ccn(3, 2);
+        let mesh = c.mesh;
+        let mut g = TaskGraph::new("pair");
+        let a = g.add_process("a");
+        let b = g.add_process("b");
+        let e = g.add_edge(a, b, Bandwidth(150.0), TrafficShape::Streaming, "e");
+        let placement = vec![(a, mesh.node(0, 0)), (b, mesh.node(1, 0))];
+        let dead = (mesh.node(0, 0), Port::East);
+        let (routes, spilled) = c
+            .route_demands(&g, &placement, &[dead, dead], false)
+            .expect("a detour through the second row exists");
+        assert!(spilled.is_empty());
+        let route = routes.iter().find(|r| r.serves(e)).unwrap();
+        assert_eq!(route.paths.len(), 2, "150 Mbit/s = 2 lanes at 80 each");
+        for path in &route.paths {
+            assert_eq!(path.len(), 4, "(0,0) -> (0,1) -> (1,1) -> (1,0)");
+            assert!(path.iter().all(|hop| (hop.node, hop.out_port) != dead));
+        }
     }
 }

@@ -784,7 +784,8 @@ impl Fabric for ChipletFabric {
         // Pre-pass: seed each chiplet's occupancy with every same-chiplet
         // route that will be provisioned verbatim, so segment admission
         // cannot collide with them regardless of stream order.
-        for ms in mapping.streams() {
+        let streams = mapping.streams();
+        for ms in &streams {
             if ms.spilled {
                 continue;
             }
@@ -796,7 +797,7 @@ impl Fabric for ChipletFabric {
 
         let mut served = Vec::new();
         let mut id = 0u32;
-        for ms in mapping.streams() {
+        for ms in &streams {
             let src_chip = self.chip_of(ms.src);
             let dst_chip = self.chip_of(ms.dst);
             let gid = id;

@@ -17,14 +17,15 @@
 //! in a fully sequential post-step phase so results are bit-identical under
 //! every [`ParPolicy`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use noc_core::lane::Port;
 use noc_power::area::noi_entry_router_area;
-use noc_sim::activity::{ActivityClass, ActivityLedger, ComponentActivity, ComponentKind};
+use noc_sim::activity::{
+    merge_by_kind, ActivityClass, ActivityLedger, ComponentActivity, ComponentKind,
+};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::{ParPolicy, WorkerPool};
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 
@@ -34,7 +35,8 @@ use crate::fabric::{
     EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
 };
 use crate::stream::{
-    AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
+    stats_by_id, AdmitError, Ledger, ProvisionMode, ReleaseMode, Sessions, StreamDemand, StreamId,
+    StreamPlane, StreamStats,
 };
 use crate::topology::{Mesh, NodeId};
 
@@ -113,16 +115,9 @@ enum ChipletSlot {
 /// Per-stream bookkeeping at the chiplet level.
 #[derive(Debug, Clone)]
 struct ChipletStream {
-    id: u32,
     slot: ChipletSlot,
-    src: NodeId,
-    dst: NodeId,
-    active: bool,
-    draining: bool,
     /// Whether the destination segment's drain release has been issued.
     dst_drain_issued: bool,
-    injected: u64,
-    delivered: u64,
     /// NoI configuration cycles charged at `BeDelivered` provisioning.
     noi_reconfig: u64,
     /// First cycle at which the NoI path accepts words.
@@ -136,12 +131,27 @@ struct ChipletStream {
     /// Words waiting to enter the first NoI link (degenerate source
     /// segment, or flushed out of the source plane).
     noi_ingress: VecDeque<u16>,
-    /// Delivered payload awaiting `drain_stream`.
-    egress: Vec<u16>,
-    latency: LatencyHistogram,
+    /// Cross streams' delivery ledger (intra streams report their plane's).
+    ledger: Ledger,
 }
 
 impl ChipletStream {
+    /// A stream on `slot` whose NoI path takes `noi_reconfig` cycles to
+    /// configure from cycle `now`.
+    fn new(slot: ChipletSlot, now: u64, noi_reconfig: u64) -> ChipletStream {
+        ChipletStream {
+            slot,
+            dst_drain_issued: false,
+            noi_reconfig,
+            ready_at: now + noi_reconfig,
+            noi_wait: 0,
+            in_flight: 0,
+            pending_ts: VecDeque::new(),
+            noi_ingress: VecDeque::new(),
+            ledger: Ledger::default(),
+        }
+    }
+
     fn cross_links(&self) -> &[usize] {
         match &self.slot {
             ChipletSlot::Cross { links, .. } => links,
@@ -184,6 +194,31 @@ struct ChipPlan {
     spill_refs: Vec<SegRef>,
 }
 
+impl ChipPlan {
+    /// Append a tentatively resolved segment's routes and spills.
+    fn absorb(&mut self, other: ChipPlan) {
+        self.routes.extend(other.routes);
+        self.route_refs.extend(other.route_refs);
+        self.spilled.extend(other.spilled);
+        self.spill_refs.extend(other.spill_refs);
+    }
+}
+
+/// How a cross-chiplet stream crosses the hierarchy: its NoI walk and the
+/// two inner-plane segments around it.
+struct CrossWalk {
+    src_chip: usize,
+    dst_chip: usize,
+    /// Directed NoI link indices in hop order.
+    links: Vec<usize>,
+    /// Source tile → boundary exit tile on the source chiplet; `None` when
+    /// the source tile is the boundary tile.
+    src_seg: Option<StreamDemand>,
+    /// Boundary entry tile → destination tile on the destination chiplet;
+    /// `None` when the destination tile is the boundary tile.
+    dst_seg: Option<StreamDemand>,
+}
+
 /// A `cw × ch` grid of per-chiplet backend fabrics joined by NoI entry
 /// routers. Implements [`Fabric`] so every layer above (deployments,
 /// controllers, fleets, benches) works unchanged.
@@ -197,12 +232,9 @@ pub struct ChipletFabric {
     planes: Vec<Backend>,
     links: Vec<NoiLink>,
     link_index: BTreeMap<(usize, usize), usize>,
-    table: Vec<ChipletStream>,
-    by_id: BTreeMap<u32, usize>,
-    draining: Vec<usize>,
+    sessions: Sessions<ChipletStream>,
     policy: ParPolicy,
     now: Cycle,
-    next_id: u32,
     noi_link_activity: ActivityLedger,
     noi_buffer_activity: ActivityLedger,
     noi_arbiter_activity: ActivityLedger,
@@ -263,12 +295,9 @@ impl ChipletFabric {
             planes,
             links,
             link_index,
-            table: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            sessions: Sessions::new(),
             policy: ParPolicy::Sequential,
             now: Cycle(0),
-            next_id: 0,
             noi_link_activity: ActivityLedger::default(),
             noi_buffer_activity: ActivityLedger::default(),
             noi_arbiter_activity: ActivityLedger::default(),
@@ -307,14 +336,14 @@ impl ChipletFabric {
 
     /// Total cycles stream words spent queued at NoI entry routers.
     pub fn noi_wait_cycles(&self) -> u64 {
-        self.table.iter().map(|s| s.noi_wait).sum()
+        self.sessions.iter().map(|s| s.state.noi_wait).sum()
     }
 
     /// Number of live cross-chiplet streams.
     pub fn cross_streams(&self) -> usize {
-        self.table
+        self.sessions
             .iter()
-            .filter(|s| s.active && matches!(s.slot, ChipletSlot::Cross { .. }))
+            .filter(|s| s.active && matches!(s.state.slot, ChipletSlot::Cross { .. }))
             .count()
     }
 
@@ -390,18 +419,49 @@ impl ChipletFabric {
         route
     }
 
-    /// First and last NoI hop directions of a cross-chiplet walk.
-    fn noi_ports(&self, links: &[usize]) -> (Port, Port) {
+    /// The NoI walk and inner-plane segments of cross-chiplet `demand`.
+    fn cross_walk(&self, demand: &StreamDemand) -> CrossWalk {
+        let (src_chip, dst_chip) = (self.chip_of(demand.src), self.chip_of(demand.dst));
+        let links = self.noi_route(src_chip, dst_chip);
         let port_of = |l: &NoiLink| {
-            let from = NodeId(l.from);
-            let to = NodeId(l.to);
             self.grid
-                .xy_step(from, to)
+                .xy_step(NodeId(l.from), NodeId(l.to))
                 .expect("adjacent chiplets are one XY step apart")
         };
         let first = port_of(&self.links[links[0]]);
         let last = port_of(&self.links[*links.last().expect("cross walk has at least one link")]);
-        (first, last)
+        let segment = |src, dst| {
+            (src != dst).then_some(StreamDemand {
+                src,
+                dst,
+                demand: demand.demand,
+            })
+        };
+        let (local_src, local_dst) = (self.local_node(demand.src), self.local_node(demand.dst));
+        CrossWalk {
+            src_chip,
+            dst_chip,
+            src_seg: segment(local_src, self.exit_node(local_src, first)),
+            dst_seg: segment(self.entry_node(local_dst, last), local_dst),
+            links,
+        }
+    }
+
+    /// Does any link of a NoI walk have every entry lane reserved?
+    fn noi_full(&self, links: &[usize]) -> bool {
+        links
+            .iter()
+            .any(|&l| self.links[l].reserved >= self.config.entry_lanes)
+    }
+
+    /// `demand` between two tiles of one chiplet, in that chiplet's local
+    /// coordinates.
+    fn local_demand(&self, demand: &StreamDemand) -> StreamDemand {
+        StreamDemand {
+            src: self.local_node(demand.src),
+            dst: self.local_node(demand.dst),
+            demand: demand.demand,
+        }
     }
 
     /// Translate an aggregate-mesh path-hop sequence onto the inner mesh of
@@ -427,26 +487,23 @@ impl ChipletFabric {
         }
     }
 
-    /// Resolve one intra-chiplet stream segment from `src` to `dst` (local
-    /// tiles) on `chip`, pushing it onto the chip's plan. Circuit and
-    /// hybrid inner planes go through the local CCN; packet and deflection
-    /// planes take everything as spill streams.
-    #[allow(clippy::too_many_arguments)]
+    /// Resolve one stream segment `want` (local tiles; `None` when
+    /// degenerate) onto a chip's plan. Circuit and hybrid inner planes go
+    /// through the local CCN; packet and deflection planes take everything
+    /// as spill streams.
     fn resolve_segment(
         &self,
         ccn: &Ccn,
         plan: &mut ChipPlan,
         occupied: &mut Vec<EdgeRoute>,
-        src: NodeId,
-        dst: NodeId,
-        demand: noc_sim::units::Bandwidth,
+        want: Option<StreamDemand>,
         seg: SegRef,
     ) -> SegOutcome {
-        if src == dst {
+        let Some(want) = want else {
             return SegOutcome::Degenerate;
-        }
+        };
         if matches!(self.inner_kind, FabricKind::Circuit | FabricKind::Hybrid) {
-            match ccn.admit_stream(&StreamDemand { src, dst, demand }, occupied) {
+            match ccn.admit_stream(&want, occupied) {
                 Ok(route) => {
                     occupied.push(route.clone());
                     plan.routes.push(route);
@@ -460,9 +517,9 @@ impl ChipletFabric {
         }
         plan.spilled.push(SpillStream {
             edges: Vec::new(),
-            src,
-            dst,
-            demand,
+            src: want.src,
+            dst: want.dst,
+            demand: want.demand,
             reason: SpillReason::NoFreeLanes,
         });
         plan.spill_refs.push(seg);
@@ -501,22 +558,23 @@ impl ChipletFabric {
         for (li, w) in moved {
             self.noi_buffer_activity.add(ActivityClass::BufferRead, 1);
             self.noi_link_activity.add(ActivityClass::LinkToggle, 16);
-            let idx = self.by_id[&w.stream];
-            let waited = (now - w.entered).saturating_sub(1);
-            self.table[idx].noi_wait += waited;
-            let links = self.table[idx].cross_links().to_vec();
+            let idx = self
+                .sessions
+                .index_of(StreamId(w.stream))
+                .expect("NoI words belong to registered streams");
+            let st = &mut self.sessions[idx].state;
+            st.noi_wait += (now - w.entered).saturating_sub(1);
+            let links = st.cross_links();
             let pos = links
                 .iter()
                 .position(|&l| l == li)
                 .expect("NoI word travels on its stream's walk");
-            if pos + 1 < links.len() {
-                let next = links[pos + 1];
+            if let Some(&next) = links.get(pos + 1) {
                 self.noi_buffer_activity.add(ActivityClass::BufferWrite, 1);
                 self.links[next]
                     .queue
                     .push_back(NoiWord { entered: now, ..w });
             } else {
-                let st = &mut self.table[idx];
                 st.in_flight -= 1;
                 match &st.slot {
                     ChipletSlot::Cross {
@@ -532,11 +590,8 @@ impl ChipletFabric {
                     ChipletSlot::Cross { dst_seg: None, .. } => {
                         // Degenerate destination segment: the boundary tile
                         // is the destination tile.
-                        if let Some(ts) = st.pending_ts.pop_front() {
-                            st.latency.record(now - ts);
-                        }
-                        st.egress.push(w.word);
-                        st.delivered += 1;
+                        let latency = st.pending_ts.pop_front().map(|ts| now - ts);
+                        st.ledger.deliver(w.word, latency);
                     }
                     ChipletSlot::Intra { .. } => unreachable!("intra streams never ride the NoI"),
                 }
@@ -546,8 +601,11 @@ impl ChipletFabric {
         // those planes their injection flush.
         let mut touched: Vec<usize> = Vec::new();
         for ((chip, stream), words) in relays {
-            let idx = self.by_id[&stream];
-            let local = match &self.table[idx].slot {
+            let st = self
+                .sessions
+                .get(StreamId(stream))
+                .expect("relayed words belong to registered streams");
+            let local = match &st.state.slot {
                 ChipletSlot::Cross {
                     dst_seg: Some(local),
                     ..
@@ -571,12 +629,12 @@ impl ChipletFabric {
     /// Move source-segment output (or degenerate-source ingress) onto the
     /// first NoI link of each cross stream.
     fn feed_noi(&mut self, now: u64) {
-        for idx in 0..self.table.len() {
-            let st = &self.table[idx];
+        for idx in 0..self.sessions.len() {
+            let st = &self.sessions[idx];
             if !st.active && !st.draining {
                 continue;
             }
-            let (src_chip, first_link, src_seg) = match &st.slot {
+            let (src_chip, first_link, src_seg) = match &st.state.slot {
                 ChipletSlot::Cross {
                     src_chip,
                     links,
@@ -587,11 +645,11 @@ impl ChipletFabric {
             };
             if let Some(local) = src_seg {
                 let words = self.planes[src_chip].as_fabric_mut().drain_stream(local);
-                self.table[idx].noi_ingress.extend(words);
+                self.sessions[idx].state.noi_ingress.extend(words);
             }
-            let st = &mut self.table[idx];
+            let id = self.sessions[idx].id.0;
+            let st = &mut self.sessions[idx].state;
             if now >= st.ready_at {
-                let id = st.id;
                 while let Some(word) = st.noi_ingress.pop_front() {
                     st.in_flight += 1;
                     self.noi_buffer_activity.add(ActivityClass::BufferWrite, 1);
@@ -607,8 +665,8 @@ impl ChipletFabric {
 
     /// Pull destination-segment deliveries up to the chiplet level.
     fn collect_dst(&mut self, now: u64) {
-        for idx in 0..self.table.len() {
-            let (dst_chip, dst_seg) = match &self.table[idx].slot {
+        for idx in 0..self.sessions.len() {
+            let (dst_chip, dst_seg) = match &self.sessions[idx].state.slot {
                 ChipletSlot::Cross {
                     dst_chip,
                     dst_seg: Some(local),
@@ -620,13 +678,10 @@ impl ChipletFabric {
             if words.is_empty() {
                 continue;
             }
-            let st = &mut self.table[idx];
+            let st = &mut self.sessions[idx].state;
             for word in words {
-                if let Some(ts) = st.pending_ts.pop_front() {
-                    st.latency.record(now - ts);
-                }
-                st.egress.push(word);
-                st.delivered += 1;
+                let latency = st.pending_ts.pop_front().map(|ts| now - ts);
+                st.ledger.deliver(word, latency);
             }
         }
     }
@@ -635,12 +690,14 @@ impl ChipletFabric {
     /// went inactive, cascade cross-stream drains from source segment to
     /// NoI to destination segment.
     fn finalise_drains(&mut self) {
-        let draining = std::mem::take(&mut self.draining);
-        for idx in draining {
-            let finished = match &self.table[idx].slot {
-                ChipletSlot::Intra { chip, local } => {
-                    self.planes[*chip].stream_is_active(*local) == Some(false)
-                }
+        let planes = &mut self.planes;
+        let retired = self.sessions.retire_drained(|s| {
+            let st = &mut s.state;
+            let retired = |planes: &[Backend], chip: usize, local: StreamId| {
+                planes[chip].as_fabric().stream_is_active(local) == Some(false)
+            };
+            match st.slot {
+                ChipletSlot::Intra { chip, local } => retired(&planes[..], chip, local),
                 ChipletSlot::Cross {
                     src_chip,
                     dst_chip,
@@ -648,44 +705,31 @@ impl ChipletFabric {
                     dst_seg,
                     ..
                 } => {
-                    let (src_chip, dst_chip) = (*src_chip, *dst_chip);
-                    let (src_seg, dst_seg) = (*src_seg, *dst_seg);
-                    let src_done = src_seg
-                        .is_none_or(|s| self.planes[src_chip].stream_is_active(s) == Some(false));
-                    let noi_empty =
-                        self.table[idx].noi_ingress.is_empty() && self.table[idx].in_flight == 0;
-                    if src_done && noi_empty && !self.table[idx].dst_drain_issued {
+                    let src_done = src_seg.is_none_or(|s| retired(&planes[..], src_chip, s));
+                    let noi_empty = st.noi_ingress.is_empty() && st.in_flight == 0;
+                    if src_done && noi_empty && !st.dst_drain_issued {
                         if let Some(d) = dst_seg {
-                            self.planes[dst_chip]
+                            planes[dst_chip]
                                 .as_fabric_mut()
                                 .release(d, ReleaseMode::Drain)
                                 .expect("destination segment is live while draining");
                         }
-                        self.table[idx].dst_drain_issued = true;
+                        st.dst_drain_issued = true;
                     }
-                    self.table[idx].dst_drain_issued
-                        && dst_seg.is_none_or(|d| {
-                            self.planes[dst_chip].stream_is_active(d) == Some(false)
-                        })
+                    st.dst_drain_issued && dst_seg.is_none_or(|d| retired(&planes[..], dst_chip, d))
                 }
-            };
-            if finished {
-                self.finalise_stream(idx);
-            } else {
-                self.draining.push(idx);
             }
+        });
+        for idx in retired {
+            self.free_links(idx);
         }
     }
 
-    /// Mark a stream finished and free its NoI entry-lane reservations.
-    fn finalise_stream(&mut self, idx: usize) {
-        let links = self.table[idx].cross_links().to_vec();
-        for l in links {
+    /// Free stream `idx`'s NoI entry-lane reservations.
+    fn free_links(&mut self, idx: usize) {
+        for &l in self.sessions[idx].state.cross_links() {
             self.links[l].reserved = self.links[l].reserved.saturating_sub(1);
         }
-        let st = &mut self.table[idx];
-        st.active = false;
-        st.draining = false;
     }
 
     /// One aggregate cycle: step every chiplet plane (sharded onto the
@@ -707,14 +751,6 @@ impl ChipletFabric {
         self.feed_noi(now);
         self.collect_dst(now);
         self.finalise_drains();
-    }
-
-    /// Stream table index for `id`, or an `UnknownStream` error.
-    fn index_of(&self, id: StreamId) -> Result<usize, AdmitError> {
-        self.by_id
-            .get(&id.0)
-            .copied()
-            .ok_or(AdmitError::UnknownStream(id))
     }
 }
 
@@ -761,10 +797,8 @@ impl Fabric for ChipletFabric {
             link.reserved = 0;
             link.queue.clear();
         }
-        self.table.clear();
-        self.by_id.clear();
-        self.draining.clear();
-        self.next_id = 0;
+        let streams = mapping.streams();
+        self.sessions.reset(streams.len() as u32);
 
         let ccn = Ccn::with_lane_capacity(
             self.inner_mesh,
@@ -784,7 +818,6 @@ impl Fabric for ChipletFabric {
         // Pre-pass: seed each chiplet's occupancy with every same-chiplet
         // route that will be provisioned verbatim, so segment admission
         // cannot collide with them regardless of stream order.
-        let streams = mapping.streams();
         for ms in &streams {
             if ms.spilled {
                 continue;
@@ -796,11 +829,10 @@ impl Fabric for ChipletFabric {
         }
 
         let mut served = Vec::new();
-        let mut id = 0u32;
         for ms in &streams {
             let src_chip = self.chip_of(ms.src);
             let dst_chip = self.chip_of(ms.dst);
-            let gid = id;
+            let gid = ms.id.0;
             let (slot, noi_reconfig) = if src_chip == dst_chip {
                 let plan = &mut plans[src_chip];
                 if ms.spilled {
@@ -809,7 +841,6 @@ impl Fabric for ChipletFabric {
                     // a circuit plane cannot carry them at all, every other
                     // plane takes them directly as spill streams.
                     if matches!(self.inner_kind, FabricKind::Circuit) {
-                        id += 1;
                         continue;
                     }
                     let spill = &mapping.spilled[ms.spill.expect("spilled stream has a spill")];
@@ -834,12 +865,7 @@ impl Fabric for ChipletFabric {
                     0,
                 )
             } else {
-                let links = self.noi_route(src_chip, dst_chip);
-                let (first_port, last_port) = self.noi_ports(&links);
-                let local_src = self.local_node(ms.src);
-                let local_dst = self.local_node(ms.dst);
-                let exit = self.exit_node(local_src, first_port);
-                let entry = self.entry_node(local_dst, last_port);
+                let walk = self.cross_walk(&StreamDemand::from(ms));
                 // Resolve both segments tentatively so a failed destination
                 // segment does not leave a half-committed source segment.
                 let mut src_plan = ChipPlan::default();
@@ -850,56 +876,37 @@ impl Fabric for ChipletFabric {
                     &ccn,
                     &mut src_plan,
                     &mut src_occ,
-                    local_src,
-                    exit,
-                    ms.demand,
+                    walk.src_seg,
                     SegRef::Src(gid),
                 );
                 let dst_out = self.resolve_segment(
                     &ccn,
                     &mut dst_plan,
                     &mut dst_occ,
-                    entry,
-                    local_dst,
-                    ms.demand,
+                    walk.dst_seg,
                     SegRef::Dst(gid),
                 );
                 if matches!(src_out, SegOutcome::Unserved)
                     || matches!(dst_out, SegOutcome::Unserved)
                 {
-                    id += 1;
                     continue;
                 }
                 occupied[src_chip] = src_occ;
                 occupied[dst_chip] = dst_occ;
-                let src_seg = match src_out {
-                    SegOutcome::Stream => {
-                        let plan = &mut plans[src_chip];
-                        plan.routes.extend(src_plan.routes);
-                        plan.route_refs.extend(src_plan.route_refs);
-                        plan.spilled.extend(src_plan.spilled);
-                        plan.spill_refs.extend(src_plan.spill_refs);
-                        Some(StreamId(0))
-                    }
-                    _ => None,
+                let mut bind = |chip: usize, out: SegOutcome, seg_plan: ChipPlan| {
+                    matches!(out, SegOutcome::Stream).then(|| {
+                        plans[chip].absorb(seg_plan);
+                        StreamId(0)
+                    })
                 };
-                let dst_seg = match dst_out {
-                    SegOutcome::Stream => {
-                        let plan = &mut plans[dst_chip];
-                        plan.routes.extend(dst_plan.routes);
-                        plan.route_refs.extend(dst_plan.route_refs);
-                        plan.spilled.extend(dst_plan.spilled);
-                        plan.spill_refs.extend(dst_plan.spill_refs);
-                        Some(StreamId(0))
-                    }
-                    _ => None,
-                };
-                for &l in &links {
+                let src_seg = bind(src_chip, src_out, src_plan);
+                let dst_seg = bind(dst_chip, dst_out, dst_plan);
+                for &l in &walk.links {
                     self.links[l].reserved += 1;
                 }
                 let noi_reconfig = match mode {
                     ProvisionMode::BeDelivered => {
-                        links.len() as u64 * Self::NOI_CONFIG_CYCLES_PER_LINK
+                        walk.links.len() as u64 * Self::NOI_CONFIG_CYCLES_PER_LINK
                     }
                     ProvisionMode::Instant => 0,
                 };
@@ -909,36 +916,15 @@ impl Fabric for ChipletFabric {
                         dst_chip,
                         src_seg,
                         dst_seg,
-                        links,
+                        links: walk.links,
                     },
                     noi_reconfig,
                 )
             };
-            let ready_at = self.now.0 + noi_reconfig;
-            self.by_id.insert(gid, self.table.len());
-            self.table.push(ChipletStream {
-                id: gid,
-                slot,
-                src: ms.src,
-                dst: ms.dst,
-                active: true,
-                draining: false,
-                dst_drain_issued: false,
-                injected: 0,
-                delivered: 0,
-                noi_reconfig,
-                ready_at,
-                noi_wait: 0,
-                in_flight: 0,
-                pending_ts: VecDeque::new(),
-                noi_ingress: VecDeque::new(),
-                egress: Vec::new(),
-                latency: LatencyHistogram::new(),
-            });
-            served.push(StreamId(gid));
-            id += 1;
+            let state = ChipletStream::new(slot, self.now.0, noi_reconfig);
+            self.sessions.insert(ms.id, ms.src, ms.dst, state);
+            served.push(ms.id);
         }
-        self.next_id = id;
 
         // Bind local plane ids back into the chiplet table. Each plane
         // returns ids in `Mapping::streams()` order: routes first (in push
@@ -966,8 +952,11 @@ impl Fabric for ChipletFabric {
                 let gid = match r {
                     SegRef::Intra(g) | SegRef::Src(g) | SegRef::Dst(g) => g,
                 };
-                let idx = self.by_id[&gid];
-                match (&mut self.table[idx].slot, r) {
+                let idx = self
+                    .sessions
+                    .index_of(StreamId(gid))
+                    .expect("every bound segment belongs to a registered stream");
+                match (&mut self.sessions[idx].state.slot, r) {
                     (ChipletSlot::Intra { local: slot, .. }, SegRef::Intra(_)) => *slot = local,
                     (ChipletSlot::Cross { src_seg, .. }, SegRef::Src(_)) => {
                         *src_seg = Some(local);
@@ -983,14 +972,8 @@ impl Fabric for ChipletFabric {
     }
 
     fn inject_stream(&mut self, id: StreamId, words: &[u16]) -> usize {
-        let idx = self.by_id[&id.0];
-        let st = &self.table[idx];
-        assert!(
-            st.active && !st.draining,
-            "stream {} is not accepting words",
-            id.0
-        );
-        match st.slot {
+        let idx = self.sessions.injectable(id);
+        match self.sessions[idx].state.slot {
             ChipletSlot::Intra { chip, local } => self.planes[chip]
                 .as_fabric_mut()
                 .inject_stream(local, words),
@@ -1003,12 +986,13 @@ impl Fabric for ChipletFabric {
                         .as_fabric_mut()
                         .inject_stream(local, words),
                     None => {
-                        self.table[idx].noi_ingress.extend(words.iter().copied());
+                        let st = &mut self.sessions[idx].state;
+                        st.noi_ingress.extend(words.iter().copied());
                         words.len()
                     }
                 };
-                let st = &mut self.table[idx];
-                st.injected += accepted as u64;
+                let st = &mut self.sessions[idx].state;
+                st.ledger.injected += accepted as u64;
                 for _ in 0..accepted {
                     st.pending_ts.push_back(now);
                 }
@@ -1024,47 +1008,29 @@ impl Fabric for ChipletFabric {
     }
 
     fn drain_stream(&mut self, id: StreamId) -> Vec<u16> {
-        let idx = self.by_id[&id.0];
-        match self.table[idx].slot {
+        let idx = self.sessions.served(id);
+        let st = &mut self.sessions[idx].state;
+        match st.slot {
             ChipletSlot::Intra { chip, local } => {
                 self.planes[chip].as_fabric_mut().drain_stream(local)
             }
-            ChipletSlot::Cross { .. } => std::mem::take(&mut self.table[idx].egress),
+            ChipletSlot::Cross { .. } => std::mem::take(&mut st.ledger.egress),
         }
     }
 
     fn release(&mut self, id: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let idx = self.index_of(id)?;
-        if !self.table[idx].active {
-            return Err(AdmitError::UnknownStream(id));
-        }
-        if self.table[idx].draining {
-            return Err(AdmitError::Draining(id));
-        }
-        match self.table[idx].slot.clone() {
+        let idx = self.sessions.releasable(id)?;
+        match self.sessions[idx].state.slot.clone() {
             ChipletSlot::Intra { chip, local } => {
-                self.planes[chip].as_fabric_mut().release(local, mode)?;
-                match mode {
-                    ReleaseMode::Drop => {
-                        self.table[idx].active = false;
-                    }
-                    ReleaseMode::Drain => {
-                        if self.planes[chip].stream_is_active(local) == Some(false) {
-                            self.table[idx].active = false;
-                        } else {
-                            self.table[idx].draining = true;
-                            self.draining.push(idx);
-                        }
-                    }
-                }
-                Ok(())
+                let plane = self.planes[chip].as_fabric_mut();
+                self.sessions.release_on(idx, plane, local, mode)
             }
             ChipletSlot::Cross {
                 src_chip,
                 dst_chip,
                 src_seg,
                 dst_seg,
-                links,
+                ..
             } => match mode {
                 ReleaseMode::Drop => {
                     if let Some(s) = src_seg {
@@ -1078,18 +1044,15 @@ impl Fabric for ChipletFabric {
                             .release(d, ReleaseMode::Drop)
                             .expect("destination segment is live while the stream is");
                     }
-                    let gid = id.0;
                     for link in &mut self.links {
-                        link.queue.retain(|w| w.stream != gid);
+                        link.queue.retain(|w| w.stream != id.0);
                     }
-                    for l in links {
-                        self.links[l].reserved = self.links[l].reserved.saturating_sub(1);
-                    }
-                    let st = &mut self.table[idx];
+                    self.free_links(idx);
+                    let st = &mut self.sessions[idx].state;
                     st.noi_ingress.clear();
                     st.pending_ts.clear();
                     st.in_flight = 0;
-                    st.active = false;
+                    self.sessions.retire(idx);
                     Ok(())
                 }
                 ReleaseMode::Drain => {
@@ -1098,8 +1061,7 @@ impl Fabric for ChipletFabric {
                             .as_fabric_mut()
                             .release(s, ReleaseMode::Drain)?;
                     }
-                    self.table[idx].draining = true;
-                    self.draining.push(idx);
+                    self.sessions.drain(idx, false);
                     Ok(())
                 }
             },
@@ -1107,192 +1069,87 @@ impl Fabric for ChipletFabric {
     }
 
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        let src_chip = self.chip_of(demand.src);
-        let dst_chip = self.chip_of(demand.dst);
-        let gid = self.next_id;
-        if src_chip == dst_chip {
-            let want = StreamDemand {
-                src: self.local_node(demand.src),
-                dst: self.local_node(demand.dst),
-                demand: demand.demand,
-            };
-            let local = self.planes[src_chip].as_fabric_mut().admit(&want)?;
-            self.by_id.insert(gid, self.table.len());
-            self.table.push(ChipletStream {
-                id: gid,
-                slot: ChipletSlot::Intra {
-                    chip: src_chip,
-                    local,
-                },
-                src: demand.src,
-                dst: demand.dst,
-                active: true,
-                draining: false,
-                dst_drain_issued: false,
-                injected: 0,
-                delivered: 0,
-                noi_reconfig: 0,
-                ready_at: self.now.0,
-                noi_wait: 0,
-                in_flight: 0,
-                pending_ts: VecDeque::new(),
-                noi_ingress: VecDeque::new(),
-                egress: Vec::new(),
-                latency: LatencyHistogram::new(),
-            });
-            self.next_id += 1;
-            return Ok(StreamId(gid));
+        let chip = self.chip_of(demand.src);
+        if chip == self.chip_of(demand.dst) {
+            let want = self.local_demand(demand);
+            let local = self.planes[chip].as_fabric_mut().admit(&want)?;
+            let state = ChipletStream::new(ChipletSlot::Intra { chip, local }, self.now.0, 0);
+            return Ok(self.sessions.issue(demand.src, demand.dst, state));
         }
-        let links = self.noi_route(src_chip, dst_chip);
-        if links
-            .iter()
-            .any(|&l| self.links[l].reserved >= self.config.entry_lanes)
-        {
+        let walk = self.cross_walk(demand);
+        if self.noi_full(&walk.links) {
             return Err(AdmitError::NoFreeLanes);
         }
-        let (first_port, last_port) = self.noi_ports(&links);
-        let local_src = self.local_node(demand.src);
-        let local_dst = self.local_node(demand.dst);
-        let exit = self.exit_node(local_src, first_port);
-        let entry = self.entry_node(local_dst, last_port);
-        let src_seg = if local_src == exit {
-            None
-        } else {
-            let want = StreamDemand {
-                src: local_src,
-                dst: exit,
-                demand: demand.demand,
-            };
-            Some(self.planes[src_chip].as_fabric_mut().admit(&want)?)
+        let (src_chip, dst_chip) = (walk.src_chip, walk.dst_chip);
+        let mut admit_on = |chip: usize, seg: Option<StreamDemand>| {
+            seg.map(|want| self.planes[chip].as_fabric_mut().admit(&want))
+                .transpose()
         };
-        let dst_seg = if entry == local_dst {
-            None
-        } else {
-            let want = StreamDemand {
-                src: entry,
-                dst: local_dst,
-                demand: demand.demand,
-            };
-            match self.planes[dst_chip].as_fabric_mut().admit(&want) {
-                Ok(id) => Some(id),
-                Err(e) => {
-                    if let Some(s) = src_seg {
-                        self.planes[src_chip]
-                            .as_fabric_mut()
-                            .release(s, ReleaseMode::Drop)
-                            .expect("freshly admitted source segment releases cleanly");
-                    }
-                    return Err(e);
+        let src_seg = admit_on(src_chip, walk.src_seg)?;
+        let dst_seg = match admit_on(dst_chip, walk.dst_seg) {
+            Ok(seg) => seg,
+            Err(e) => {
+                if let Some(s) = src_seg {
+                    self.planes[src_chip]
+                        .as_fabric_mut()
+                        .release(s, ReleaseMode::Drop)
+                        .expect("freshly admitted source segment releases cleanly");
                 }
+                return Err(e);
             }
         };
-        for &l in &links {
+        for &l in &walk.links {
             self.links[l].reserved += 1;
         }
-        let noi_reconfig = links.len() as u64 * Self::NOI_CONFIG_CYCLES_PER_LINK;
-        let ready_at = self.now.0 + noi_reconfig;
-        self.by_id.insert(gid, self.table.len());
-        self.table.push(ChipletStream {
-            id: gid,
-            slot: ChipletSlot::Cross {
-                src_chip,
-                dst_chip,
-                src_seg,
-                dst_seg,
-                links,
-            },
-            src: demand.src,
-            dst: demand.dst,
-            active: true,
-            draining: false,
-            dst_drain_issued: false,
-            injected: 0,
-            delivered: 0,
-            noi_reconfig,
-            ready_at,
-            noi_wait: 0,
-            in_flight: 0,
-            pending_ts: VecDeque::new(),
-            noi_ingress: VecDeque::new(),
-            egress: Vec::new(),
-            latency: LatencyHistogram::new(),
-        });
-        self.next_id += 1;
-        Ok(StreamId(gid))
+        let noi_reconfig = walk.links.len() as u64 * Self::NOI_CONFIG_CYCLES_PER_LINK;
+        let slot = ChipletSlot::Cross {
+            src_chip,
+            dst_chip,
+            src_seg,
+            dst_seg,
+            links: walk.links,
+        };
+        let state = ChipletStream::new(slot, self.now.0, noi_reconfig);
+        Ok(self.sessions.issue(demand.src, demand.dst, state))
     }
 
     fn can_admit_circuit(&self, demand: &StreamDemand) -> bool {
-        let src_chip = self.chip_of(demand.src);
-        let dst_chip = self.chip_of(demand.dst);
-        if src_chip == dst_chip {
-            let want = StreamDemand {
-                src: self.local_node(demand.src),
-                dst: self.local_node(demand.dst),
-                demand: demand.demand,
-            };
-            return self.planes[src_chip].as_fabric().can_admit_circuit(&want);
+        let chip = self.chip_of(demand.src);
+        let fits = |chip: usize, seg: Option<StreamDemand>| {
+            seg.is_none_or(|want| self.planes[chip].as_fabric().can_admit_circuit(&want))
+        };
+        if chip == self.chip_of(demand.dst) {
+            return fits(chip, Some(self.local_demand(demand)));
         }
         if !matches!(self.inner_kind, FabricKind::Circuit | FabricKind::Hybrid) {
             return false;
         }
-        let links = self.noi_route(src_chip, dst_chip);
-        if links
-            .iter()
-            .any(|&l| self.links[l].reserved >= self.config.entry_lanes)
-        {
-            return false;
-        }
-        let (first_port, last_port) = self.noi_ports(&links);
-        let local_src = self.local_node(demand.src);
-        let local_dst = self.local_node(demand.dst);
-        let exit = self.exit_node(local_src, first_port);
-        let entry = self.entry_node(local_dst, last_port);
-        let src_ok = local_src == exit
-            || self.planes[src_chip]
-                .as_fabric()
-                .can_admit_circuit(&StreamDemand {
-                    src: local_src,
-                    dst: exit,
-                    demand: demand.demand,
-                });
-        let dst_ok = entry == local_dst
-            || self.planes[dst_chip]
-                .as_fabric()
-                .can_admit_circuit(&StreamDemand {
-                    src: entry,
-                    dst: local_dst,
-                    demand: demand.demand,
-                });
-        src_ok && dst_ok
+        let walk = self.cross_walk(demand);
+        !self.noi_full(&walk.links)
+            && fits(walk.src_chip, walk.src_seg)
+            && fits(walk.dst_chip, walk.dst_seg)
     }
 
     fn stream_stats(&self) -> Vec<StreamStats> {
-        // Per-plane lookup maps keyed by local session id (lookups only —
-        // iteration order stays the chiplet table's).
-        let plane_stats: Vec<HashMap<u32, StreamStats>> = self
+        // Per-plane lookups by local handle (iteration order stays the
+        // chiplet table's).
+        let plane_stats: Vec<_> = self
             .planes
             .iter()
-            .map(|p| {
-                p.as_fabric()
-                    .stream_stats()
-                    .into_iter()
-                    .map(|s| (s.id.0, s))
-                    .collect()
-            })
+            .map(|p| stats_by_id(p.as_fabric()))
             .collect();
-        self.table
+        self.sessions
             .iter()
-            .map(|st| match &st.slot {
-                ChipletSlot::Intra { chip, local } => {
-                    let mut stats = plane_stats[*chip]
-                        .get(&local.0)
+            .map(|s| match &s.state.slot {
+                ChipletSlot::Intra { chip, local } => StreamStats {
+                    id: s.id,
+                    src: s.src,
+                    dst: s.dst,
+                    ..plane_stats[*chip]
+                        .get(local)
                         .expect("intra stream has plane telemetry")
-                        .clone();
-                    stats.id = StreamId(st.id);
-                    stats.src = st.src;
-                    stats.dst = st.dst;
-                    stats
-                }
+                        .clone()
+                },
                 ChipletSlot::Cross {
                     src_chip,
                     dst_chip,
@@ -1300,8 +1157,8 @@ impl Fabric for ChipletFabric {
                     dst_seg,
                     ..
                 } => {
-                    let src_stats = src_seg.and_then(|s| plane_stats[*src_chip].get(&s.0));
-                    let dst_stats = dst_seg.and_then(|d| plane_stats[*dst_chip].get(&d.0));
+                    let src_stats = src_seg.and_then(|s| plane_stats[*src_chip].get(&s));
+                    let dst_stats = dst_seg.and_then(|d| plane_stats[*dst_chip].get(&d));
                     let seg_plane = src_stats
                         .map(|s| s.plane)
                         .or_else(|| dst_stats.map(|s| s.plane));
@@ -1322,20 +1179,17 @@ impl Fabric for ChipletFabric {
                         .map_or(0, |s| s.max_deflections)
                         .max(dst_stats.map_or(0, |s| s.max_deflections));
                     StreamStats {
-                        id: StreamId(st.id),
-                        src: st.src,
-                        dst: st.dst,
-                        plane,
-                        active: st.active,
-                        injected_words: st.injected,
-                        delivered_words: st.delivered,
-                        reconfig_cycles: st.noi_reconfig.max(seg_reconfig),
-                        latency: st.latency.clone(),
+                        reconfig_cycles: s.state.noi_reconfig.max(seg_reconfig),
                         max_deflections,
+                        ..s.state.ledger.stats(s, plane)
                     }
                 }
             })
             .collect()
+    }
+
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        self.sessions.is_active(id)
     }
 
     fn step(&mut self) {
@@ -1350,34 +1204,22 @@ impl Fabric for ChipletFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        let mut absorb = |kind: ComponentKind, ledger: &ActivityLedger| {
-            if let Some(existing) = merged.iter_mut().find(|c| c.kind == kind) {
-                existing.ledger.merge(ledger);
-            } else {
-                merged.push(ComponentActivity {
-                    kind,
-                    ledger: *ledger,
-                });
-            }
-        };
-        for plane in &self.planes {
-            for component in plane.as_fabric().activity() {
-                absorb(component.kind, &component.ledger);
-            }
-        }
         // NoI ledgers join only when they carry events, so a quiet 1×1 grid
         // stays bit-identical to the flat fabric's activity.
-        if !self.noi_link_activity.is_empty() {
-            absorb(ComponentKind::Link, &self.noi_link_activity);
-        }
-        if !self.noi_buffer_activity.is_empty() {
-            absorb(ComponentKind::Buffering, &self.noi_buffer_activity);
-        }
-        if !self.noi_arbiter_activity.is_empty() {
-            absorb(ComponentKind::Arbitration, &self.noi_arbiter_activity);
-        }
-        merged
+        let noi = [
+            (ComponentKind::Link, self.noi_link_activity),
+            (ComponentKind::Buffering, self.noi_buffer_activity),
+            (ComponentKind::Arbitration, self.noi_arbiter_activity),
+        ]
+        .into_iter()
+        .filter(|(_, ledger)| !ledger.is_empty())
+        .map(|(kind, ledger)| ComponentActivity::new(kind, ledger));
+        merge_by_kind(
+            self.planes
+                .iter()
+                .flat_map(|p| p.as_fabric().activity())
+                .chain(noi),
+        )
     }
 
     fn clear_activity(&mut self) {
@@ -1393,9 +1235,9 @@ impl Fabric for ChipletFabric {
         self.planes.iter().all(|p| p.as_fabric().is_quiescent())
             && self.links.iter().all(|l| l.queue.is_empty())
             && self
-                .table
+                .sessions
                 .iter()
-                .all(|s| s.noi_ingress.is_empty() && s.in_flight == 0)
+                .all(|s| s.state.noi_ingress.is_empty() && s.state.in_flight == 0)
     }
 
     fn total_overflows(&self) -> u64 {

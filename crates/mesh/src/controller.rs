@@ -917,6 +917,10 @@ impl Fabric for FabricController {
         self.fabric.stream_stats()
     }
 
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        self.fabric.stream_is_active(id)
+    }
+
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
         self.fabric.release(stream, mode)?;
         // A caller-released stream leaves the policy's purview: its

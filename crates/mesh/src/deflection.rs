@@ -37,28 +37,27 @@
 
 use crate::ccn::Mapping;
 use crate::fabric::{
-    pport, EnergyModel, Fabric, FabricKind, FabricSnapshot, ProvisionError, SnapshotError,
+    admit_tagged, coords, pport, provision_tagged, EnergyModel, Fabric, FabricKind, FabricSnapshot,
+    ProvisionError, SnapshotError,
 };
-use crate::stream::{AdmitError, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats};
-use crate::topology::{Mesh, NodeId};
+use crate::stream::{
+    AdmitError, Ledger, ReleaseMode, Sessions, StreamDemand, StreamId, StreamPlane, StreamStats,
+};
+use crate::topology::Mesh;
 use noc_packet::deflection::{DeflectFlit, DeflectionParams, DeflectionSlab};
 use noc_packet::routing::Coords;
 use noc_power::area::deflection_router_area;
-use noc_sim::activity::ComponentActivity;
+use noc_sim::activity::{merge_by_kind, ComponentActivity};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
 use std::collections::{BTreeMap, VecDeque};
 
-/// One deflection stream session: destination registration, sequence
-/// bookkeeping for the reorder window, and telemetry.
+/// A deflection session's backend state: destination registration,
+/// sequence bookkeeping for the reorder window, and the delivery ledger.
 #[derive(Debug, Clone)]
 struct DeflectStream {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
     dest: Coords,
     plane: StreamPlane,
     /// Words accepted but not yet released to `egress` (staged, in
@@ -70,17 +69,24 @@ struct DeflectStream {
     expected_seq: u64,
     /// Arrived-out-of-order flits parked until the gap closes.
     reorder: BTreeMap<u64, DeflectFlit>,
-    /// In-order delivered words awaiting `drain_stream`.
-    egress: Vec<u16>,
-    injected: u64,
-    delivered: u64,
-    latency: LatencyHistogram,
     /// Worst per-word deflection count among delivered words.
     max_deflections: u64,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]: no further injection, slot
-    /// retired once every accepted word has been delivered.
-    draining: bool,
+    ledger: Ledger,
+}
+
+impl DeflectStream {
+    fn new(dest: Coords, plane: StreamPlane) -> DeflectStream {
+        DeflectStream {
+            dest,
+            plane,
+            pending: 0,
+            next_seq: 0,
+            expected_seq: 0,
+            reorder: BTreeMap::new(),
+            max_deflections: 0,
+            ledger: Ledger::default(),
+        }
+    }
 }
 
 /// The bufferless deflection mesh: one
@@ -94,17 +100,10 @@ pub struct DeflectionFabric {
     policy: ParPolicy,
     routers: DeflectionSlab,
     /// Stream sessions, provision-time then runtime-admitted.
-    streams: Vec<DeflectStream>,
-    /// StreamId -> index into `streams`.
-    by_id: BTreeMap<u32, usize>,
-    /// Stream indices mid-drain, polled each cycle for completion.
-    draining: Vec<usize>,
+    sessions: Sessions<DeflectStream>,
     /// Per node: flits awaiting injection at the tile port.
     ingress: Vec<VecDeque<DeflectFlit>>,
     now: Cycle,
-    next_id: u32,
-    /// Has `provision` run? (`admit` needs a plan to extend.)
-    provisioned: bool,
     /// Payload words injected (one flit per word).
     pub words_injected: u64,
     /// Payload words delivered to tiles.
@@ -121,25 +120,15 @@ impl DeflectionFabric {
             mesh.width <= 16 && mesh.height <= 16,
             "coords are 8-bit nibble pairs in the header halfword"
         );
-        let coords: Vec<Coords> = mesh
-            .iter()
-            .map(|n| {
-                let (x, y) = mesh.coords(n);
-                Coords::new(x as u8, y as u8)
-            })
-            .collect();
+        let coords: Vec<Coords> = mesh.iter().map(|n| coords(&mesh, n)).collect();
         let routers = DeflectionSlab::new(params, &coords, (mesh.width, mesh.height));
         DeflectionFabric {
             params,
             policy: ParPolicy::Auto,
             routers,
-            streams: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            sessions: Sessions::new(),
             ingress: mesh.iter().map(|_| Default::default()).collect(),
             now: Cycle::ZERO,
-            next_id: 0,
-            provisioned: false,
             words_injected: 0,
             words_delivered: 0,
             mesh,
@@ -173,38 +162,6 @@ impl DeflectionFabric {
         (0..self.routers.len())
             .map(|r| self.routers.deflections(r))
             .sum()
-    }
-
-    /// Register one stream session.
-    fn register(&mut self, id: StreamId, src: NodeId, dst: NodeId, plane: StreamPlane) {
-        let (x, y) = self.mesh.coords(dst);
-        let idx = self.streams.len();
-        self.by_id.insert(id.0, idx);
-        self.streams.push(DeflectStream {
-            id,
-            src,
-            dst,
-            dest: Coords::new(x as u8, y as u8),
-            plane,
-            pending: 0,
-            next_seq: 0,
-            expected_seq: 0,
-            reorder: BTreeMap::new(),
-            egress: Vec::new(),
-            injected: 0,
-            delivered: 0,
-            latency: LatencyHistogram::new(),
-            max_deflections: 0,
-            active: true,
-            draining: false,
-        });
-    }
-
-    /// Is stream `id` still an open session (`true` until a release —
-    /// including a [`ReleaseMode::Drain`]'s deferred retirement — has
-    /// completed)? `None` for handles this fabric does not serve.
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        self.by_id.get(&id.0).map(|&si| self.streams[si].active)
     }
 
     /// One full fabric cycle: wire the links, inject from the ingress
@@ -260,26 +217,24 @@ impl DeflectionFabric {
             while let Some(flit) = self.routers.tile_recv(node.0) {
                 self.words_delivered += 1;
                 let si = self
-                    .by_id
-                    .get(&u32::from(flit.tag))
-                    .copied()
+                    .sessions
+                    .index_of(StreamId(u32::from(flit.tag)))
                     // Tag numbering restarts at re-provision, so an
                     // in-flight flit could alias a new stream's tag; only
                     // accept words whose destination matches the claimed
                     // session. Unattributable words are dropped (the
                     // conformance contract settles before
                     // re-provisioning).
-                    .filter(|&si| self.streams[si].dst == node);
+                    .filter(|&si| self.sessions[si].dst == node);
                 if let Some(si) = si {
-                    let s = &mut self.streams[si];
+                    let s = &mut self.sessions[si].state;
                     s.reorder.insert(flit.seq, flit);
                     while let Some(f) = s.reorder.remove(&s.expected_seq) {
                         s.expected_seq += 1;
-                        s.egress.push(f.payload);
-                        s.delivered += 1;
                         s.pending = s.pending.saturating_sub(1);
-                        s.latency.record(self.now.0.saturating_sub(f.born));
                         s.max_deflections = s.max_deflections.max(u64::from(f.deflections));
+                        s.ledger
+                            .deliver(f.payload, Some(self.now.0.saturating_sub(f.born)));
                     }
                 }
             }
@@ -288,18 +243,7 @@ impl DeflectionFabric {
         // 5. Finalise draining releases: a session retired with
         //    `ReleaseMode::Drain` stays registered until its last
         //    accepted word was released above, then closes loss-free.
-        if !self.draining.is_empty() {
-            self.draining.retain(|&si| {
-                let s = &mut self.streams[si];
-                if s.pending == 0 {
-                    s.active = false;
-                    s.draining = false;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.sessions.retire_drained(|s| s.state.pending == 0);
     }
 }
 
@@ -346,54 +290,20 @@ impl Fabric for DeflectionFabric {
     /// (keeping their [`StreamPlane::Spilled`] label for telemetry):
     /// deflection needs no lane allocation, only a destination.
     fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ProvisionError> {
-        if self.mesh.width > 16 || self.mesh.height > 16 {
-            return Err(ProvisionError::MeshTooLarge {
-                width: self.mesh.width,
-                height: self.mesh.height,
-            });
-        }
-        let streams = mapping.streams();
-        if streams.len() > 256 {
-            return Err(ProvisionError::TooManyStreams {
-                streams: streams.len(),
-            });
-        }
-        self.streams.clear();
-        self.by_id.clear();
-        self.draining.clear();
-        self.next_id = streams.len() as u32;
-        self.provisioned = true;
-        let mut served = Vec::with_capacity(streams.len());
-        for ms in streams {
-            let plane = if ms.spilled {
-                StreamPlane::Spilled
-            } else {
-                StreamPlane::Packet
-            };
-            self.register(ms.id, ms.src, ms.dst, plane);
-            served.push(ms.id);
-        }
-        Ok(served)
+        provision_tagged(&self.mesh, &mut self.sessions, mapping, DeflectStream::new)
     }
 
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this deflection fabric"));
-        assert!(self.streams[si].active, "{stream} was released");
-        assert!(
-            !self.streams[si].draining,
-            "{stream} is draining — admission is stopped"
-        );
+        let si = self.sessions.injectable(stream);
         let now = self.now.0;
-        let s = &mut self.streams[si];
-        let (src, dest, tag) = (s.src, s.dest, s.id.0 as u8);
+        let s = &mut self.sessions[si];
+        let (src, tag) = (s.src, s.id.0 as u8);
+        let s = &mut s.state;
         for &word in words {
-            let flit = DeflectFlit::new(dest, tag, word, now, s.next_seq);
+            let flit = DeflectFlit::new(s.dest, tag, word, now, s.next_seq);
             s.next_seq += 1;
             s.pending += 1;
-            s.injected += 1;
+            s.ledger.injected += 1;
             self.ingress[src.0].push_back(flit);
         }
         self.words_injected += words.len() as u64;
@@ -401,66 +311,47 @@ impl Fabric for DeflectionFabric {
     }
 
     fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this deflection fabric"));
-        std::mem::take(&mut self.streams[si].egress)
+        let si = self.sessions.served(stream);
+        std::mem::take(&mut self.sessions[si].state.ledger.egress)
     }
 
     fn stream_stats(&self) -> Vec<StreamStats> {
-        self.streams
+        self.sessions
             .iter()
             .map(|s| StreamStats {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                plane: s.plane,
-                active: s.active,
-                injected_words: s.injected,
-                delivered_words: s.delivered,
-                reconfig_cycles: 0,
-                latency: s.latency.clone(),
-                max_deflections: s.max_deflections,
+                max_deflections: s.state.max_deflections,
+                ..s.state.ledger.stats(s, s.state.plane)
             })
             .collect()
     }
 
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        self.sessions.is_active(id)
+    }
+
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(&si) = self.by_id.get(&stream.0) else {
-            return Err(AdmitError::UnknownStream(stream));
-        };
-        if !self.streams[si].active {
-            return Err(AdmitError::UnknownStream(stream));
-        }
-        if self.streams[si].draining {
-            return Err(AdmitError::Draining(stream));
-        }
+        let si = self.sessions.releasable(stream)?;
         match mode {
             ReleaseMode::Drop => {
                 // Discard the staged (never-injected) words: they are the
                 // tail of the sequence space, so the reorder window stays
                 // contiguous for flits already on the wire — those may
                 // still land after the release and are delivered normally.
-                let src = self.streams[si].src;
+                let src = self.sessions[si].src;
                 let tag = stream.0 as u8;
                 let before = self.ingress[src.0].len();
                 self.ingress[src.0].retain(|f| f.tag != tag);
                 let dropped = (before - self.ingress[src.0].len()) as u64;
-                let s = &mut self.streams[si];
-                s.active = false;
+                let s = &mut self.sessions[si].state;
                 s.pending = s.pending.saturating_sub(dropped);
+                self.sessions.retire(si);
             }
             ReleaseMode::Drain => {
                 // Every accepted word is already committed to the ingress
                 // queue or the network; `step_fabric` retires the session
                 // once the last one is released to egress.
-                if self.streams[si].pending == 0 {
-                    self.streams[si].active = false;
-                } else {
-                    self.streams[si].draining = true;
-                    self.draining.push(si);
-                }
+                let finished = self.sessions[si].state.pending == 0;
+                self.sessions.drain(si, finished);
             }
         }
         Ok(())
@@ -469,18 +360,7 @@ impl Fabric for DeflectionFabric {
     /// Deflection admits anything the coordinate space can address: a
     /// destination registration, no lanes, no reconfiguration charge.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        if !self.provisioned {
-            return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
-        }
-        if self.next_id > 255 {
-            return Err(AdmitError::Unsupported(
-                "the header halfword's 256-stream tag space is exhausted",
-            ));
-        }
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
-        self.register(id, demand.src, demand.dst, StreamPlane::Packet);
-        Ok(id)
+        admit_tagged(&self.mesh, &mut self.sessions, demand, DeflectStream::new)
     }
 
     fn set_parallelism(&mut self, policy: ParPolicy) {
@@ -492,16 +372,7 @@ impl Fabric for DeflectionFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        for r in 0..self.routers.len() {
-            for comp in self.routers.activity(r) {
-                match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                    Some(existing) => existing.ledger.merge(&comp.ledger),
-                    None => merged.push(comp),
-                }
-            }
-        }
-        merged
+        merge_by_kind((0..self.routers.len()).flat_map(|r| self.routers.activity(r)))
     }
 
     fn clear_activity(&mut self) {
@@ -509,7 +380,7 @@ impl Fabric for DeflectionFabric {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.draining.is_empty()
+        self.sessions.pending_drains() == 0
             && self.ingress.iter().all(|q| q.is_empty())
             && (0..self.routers.len())
                 .all(|r| self.routers.is_quiescent(r) && self.routers.tile_rx_pending(r) == 0)
@@ -527,6 +398,7 @@ mod tests {
     use crate::ccn::Ccn;
     use crate::fabric::PacketFabric;
     use crate::tile::default_tile_kinds;
+    use crate::topology::NodeId;
     use noc_apps::taskgraph::{TaskGraph, TrafficShape};
     use noc_core::params::RouterParams;
     use noc_packet::params::PacketParams;

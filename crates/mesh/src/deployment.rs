@@ -542,11 +542,6 @@ impl Backend {
     pub(crate) fn as_fabric_mut(&mut self) -> &mut dyn Fabric {
         on_backend!(self, f => f)
     }
-
-    /// Liveness probe for drain tracking (`None` when the id is unknown).
-    pub(crate) fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        on_backend!(self, f => f.stream_is_active(id))
-    }
 }
 
 /// One stream's offered-load traffic generator — a provisioned circuit or

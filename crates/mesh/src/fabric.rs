@@ -27,7 +27,8 @@
 
 use crate::ccn::Mapping;
 use crate::stream::{
-    AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
+    AdmitError, Ledger, ProvisionMode, ReleaseMode, Sessions, StreamDemand, StreamId, StreamPlane,
+    StreamStats,
 };
 use crate::topology::{Mesh, NodeId};
 use noc_core::error::ConfigError;
@@ -38,14 +39,13 @@ use noc_packet::routing::Coords;
 use noc_packet::vc::VcId;
 use noc_power::area::{circuit_router_area, packet_router_area};
 use noc_power::estimator::{PowerEstimator, PowerReport};
-use noc_sim::activity::ComponentActivity;
+use noc_sim::activity::{merge_by_kind, ComponentActivity};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::ParPolicy;
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::{FemtoJoules, MegaHertz, SquareMicroMeters};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Which switching discipline a fabric implements.
@@ -430,6 +430,12 @@ pub trait Fabric: Clocked + Send {
     /// only.
     fn stream_stats(&self) -> Vec<StreamStats>;
 
+    /// Is stream `id` still an open session? `true` until a release — a
+    /// [`ReleaseMode::Drain`]'s deferred retirement included — has
+    /// completed; `None` for handles this fabric does not serve. A cheap
+    /// per-cycle poll for drain supervisors: no telemetry clones.
+    fn stream_is_active(&self, id: StreamId) -> Option<bool>;
+
     /// Retire stream `stream` and return its resources (circuit lanes,
     /// wormhole destination slots) to the admission pool — immediately
     /// under [`ReleaseMode::Drop`] (undelivered backlog is discarded,
@@ -644,6 +650,10 @@ impl Fabric for crate::soc::Soc {
         crate::soc::Soc::stream_stats(self)
     }
 
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        crate::soc::Soc::stream_is_active(self, id)
+    }
+
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
         self.release_stream(stream, mode)
     }
@@ -702,13 +712,77 @@ impl Fabric for crate::soc::Soc {
 // Packet-switched fabric: a full mesh of VC wormhole routers
 // ---------------------------------------------------------------------------
 
-/// One wormhole stream session: a provisioned destination plus its word
-/// staging, delivery buffer and telemetry.
+/// Streams a head flit's 8-bit stream tag can address: the limit both
+/// tag-addressed planes (wormhole packet and deflection) share.
+const TAG_SPACE: usize = 256;
+
+/// Install `mapping` on a tag-addressed plane (the packet and deflection
+/// fabrics). Every stream is served, spilled demands included — they keep
+/// their [`StreamPlane::Spilled`] label for telemetry — and `state` builds
+/// each session's backend state from its destination and plane.
+pub(crate) fn provision_tagged<T>(
+    mesh: &Mesh,
+    sessions: &mut Sessions<T>,
+    mapping: &Mapping,
+    mut state: impl FnMut(Coords, StreamPlane) -> T,
+) -> Result<Vec<StreamId>, ProvisionError> {
+    if mesh.width > 16 || mesh.height > 16 {
+        return Err(ProvisionError::MeshTooLarge {
+            width: mesh.width,
+            height: mesh.height,
+        });
+    }
+    let streams = mapping.streams();
+    if streams.len() > TAG_SPACE {
+        return Err(ProvisionError::TooManyStreams {
+            streams: streams.len(),
+        });
+    }
+    sessions.reset(streams.len() as u32);
+    let mut served = Vec::with_capacity(streams.len());
+    for ms in streams {
+        let plane = if ms.spilled {
+            StreamPlane::Spilled
+        } else {
+            StreamPlane::Packet
+        };
+        sessions.insert(ms.id, ms.src, ms.dst, state(coords(mesh, ms.dst), plane));
+        served.push(ms.id);
+    }
+    Ok(served)
+}
+
+/// Admit `demand` on a tag-addressed plane: a destination registration —
+/// no lanes to allocate, no reconfiguration charge — while the tag space
+/// lasts.
+pub(crate) fn admit_tagged<T>(
+    mesh: &Mesh,
+    sessions: &mut Sessions<T>,
+    demand: &StreamDemand,
+    state: impl FnOnce(Coords, StreamPlane) -> T,
+) -> Result<StreamId, AdmitError> {
+    if !sessions.is_provisioned() {
+        return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
+    }
+    if sessions.next_id() as usize >= TAG_SPACE {
+        return Err(AdmitError::Unsupported(
+            "the head flit's 256-stream tag space is exhausted",
+        ));
+    }
+    let state = state(coords(mesh, demand.dst), StreamPlane::Packet);
+    Ok(sessions.issue(demand.src, demand.dst, state))
+}
+
+/// `node`'s packet-header coordinates.
+pub(crate) fn coords(mesh: &Mesh, node: NodeId) -> Coords {
+    let (x, y) = mesh.coords(node);
+    Coords::new(x as u8, y as u8)
+}
+
+/// A wormhole session's backend state: its destination plus word staging
+/// and the delivery ledger.
 #[derive(Debug, Clone)]
 struct PacketStream {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
     dest: Coords,
     plane: StreamPlane,
     /// Payload words of the partially filled outgoing packet.
@@ -716,15 +790,19 @@ struct PacketStream {
     /// Inject timestamps of words staged or in flight (FIFO — wormholes
     /// of one stream deliver in order).
     pending_ts: VecDeque<u64>,
-    /// Delivered words awaiting `drain_stream`.
-    egress: Vec<u16>,
-    injected: u64,
-    delivered: u64,
-    latency: LatencyHistogram,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]: no further injection, slot
-    /// retired once every accepted word has been delivered.
-    draining: bool,
+    ledger: Ledger,
+}
+
+impl PacketStream {
+    fn new(dest: Coords, plane: StreamPlane, packet_words: usize) -> PacketStream {
+        PacketStream {
+            dest,
+            plane,
+            open: Vec::with_capacity(packet_words),
+            pending_ts: VecDeque::new(),
+            ledger: Ledger::default(),
+        }
+    }
 }
 
 /// The packet-switched baseline as a whole mesh: `noc_packet` routers on
@@ -748,21 +826,12 @@ pub struct PacketFabric {
     policy: ParPolicy,
     routers: RouterSlab,
     /// Stream sessions, provision-time then runtime-admitted.
-    streams: Vec<PacketStream>,
-    /// StreamId -> index into `streams`.
-    by_id: BTreeMap<u32, usize>,
-    /// Stream indices mid-drain, polled each cycle for completion.
-    draining: Vec<usize>,
+    sessions: Sessions<PacketStream>,
     /// Per node, per VC: stream tag of the wormhole being delivered.
     rx_stream: Vec<Vec<Option<u32>>>,
     /// Per node: flits awaiting injection at the tile port.
     ingress: Vec<VecDeque<Flit>>,
     now: Cycle,
-    next_id: u32,
-    /// Has `provision` run? (`admit` needs a plan to extend, even one
-    /// with zero streams — a hybrid's packet plane starts empty whenever
-    /// nothing spilled.)
-    provisioned: bool,
     /// Payload words injected (after packetisation).
     pub words_injected: u64,
     /// Payload words delivered to tiles.
@@ -798,13 +867,7 @@ impl PacketFabric {
             mesh.width <= 16 && mesh.height <= 16,
             "coords are 8-bit nibble pairs in the head flit"
         );
-        let coords: Vec<Coords> = mesh
-            .iter()
-            .map(|n| {
-                let (x, y) = mesh.coords(n);
-                Coords::new(x as u8, y as u8)
-            })
-            .collect();
+        let coords: Vec<Coords> = mesh.iter().map(|n| coords(&mesh, n)).collect();
         let routers = RouterSlab::new(params, &coords);
         let vcs = params.vcs;
         PacketFabric {
@@ -812,14 +875,10 @@ impl PacketFabric {
             packet_words,
             policy: ParPolicy::Auto,
             routers,
-            streams: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            sessions: Sessions::new(),
             rx_stream: mesh.iter().map(|_| vec![None; vcs]).collect(),
             ingress: mesh.iter().map(|_| Default::default()).collect(),
             now: Cycle::ZERO,
-            next_id: 0,
-            provisioned: false,
             words_injected: 0,
             words_delivered: 0,
             mesh,
@@ -843,45 +902,16 @@ impl PacketFabric {
         self.ingress.iter().map(|q| q.len()).sum()
     }
 
-    /// Register one stream session.
-    fn register(&mut self, id: StreamId, src: NodeId, dst: NodeId, plane: StreamPlane) {
-        let (x, y) = self.mesh.coords(dst);
-        let idx = self.streams.len();
-        self.by_id.insert(id.0, idx);
-        self.streams.push(PacketStream {
-            id,
-            src,
-            dst,
-            dest: Coords::new(x as u8, y as u8),
-            plane,
-            open: Vec::with_capacity(self.packet_words),
-            pending_ts: VecDeque::new(),
-            egress: Vec::new(),
-            injected: 0,
-            delivered: 0,
-            latency: LatencyHistogram::new(),
-            active: true,
-            draining: false,
-        });
-    }
-
-    /// Is stream `id` still an open session (`true` until a release —
-    /// including a [`ReleaseMode::Drain`]'s deferred retirement — has
-    /// completed)? `None` for handles this fabric does not serve.
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        self.by_id.get(&id.0).map(|&si| self.streams[si].active)
-    }
-
     /// Stage one word on stream `si` (timestamped for the latency
     /// ledger), closing the open packet when it fills.
     fn push_word(&mut self, si: usize, word: u16) {
         let now = self.now.0;
-        let s = &mut self.streams[si];
+        let s = &mut self.sessions[si].state;
         s.open.push(word);
         s.pending_ts.push_back(now);
-        s.injected += 1;
+        s.ledger.injected += 1;
         self.words_injected += 1;
-        if self.streams[si].open.len() >= self.packet_words {
+        if s.open.len() >= self.packet_words {
             self.close_stream(si);
         }
     }
@@ -889,13 +919,13 @@ impl PacketFabric {
     /// Close stream `si`'s open packet, if any, and queue its flits —
     /// head tagged with the stream id, so delivery is attributable.
     fn close_stream(&mut self, si: usize) {
-        let s = &mut self.streams[si];
-        if s.open.is_empty() {
+        let s = &mut self.sessions[si];
+        if s.state.open.is_empty() {
             return;
         }
-        let words = std::mem::take(&mut s.open);
+        let words = std::mem::take(&mut s.state.open);
         let q = &mut self.ingress[s.src.0];
-        q.push_back(Flit::head_tagged(s.dest, s.id.0 as u8));
+        q.push_back(Flit::head_tagged(s.state.dest, s.id.0 as u8));
         let last = words.len() - 1;
         for (i, &w) in words.iter().enumerate() {
             q.push_back(if i == last {
@@ -964,24 +994,21 @@ impl PacketFabric {
                     FlitKind::Body | FlitKind::Tail => {
                         self.words_delivered += 1;
                         let si = self.rx_stream[node.0][vc.index()]
-                            .and_then(|tag| self.by_id.get(&tag).copied())
+                            .and_then(|tag| self.sessions.index_of(StreamId(tag)))
                             // Tag numbering restarts at re-provision, so a
                             // leftover wormhole could alias a new stream's
                             // tag; only accept words whose destination
                             // matches the claimed session.
-                            .filter(|&si| self.streams[si].dst == node);
+                            .filter(|&si| self.sessions[si].dst == node);
                         // Unattributable words — an in-flight wormhole from
                         // a plan a re-provision replaced — are dropped (the
                         // conformance contract settles before
                         // re-provisioning; `words_delivered` still counts
                         // them at fabric level).
                         if let Some(si) = si {
-                            let s = &mut self.streams[si];
-                            if let Some(ts) = s.pending_ts.pop_front() {
-                                s.latency.record(self.now.0 - ts);
-                            }
-                            s.egress.push(flit.payload);
-                            s.delivered += 1;
+                            let s = &mut self.sessions[si].state;
+                            let latency = s.pending_ts.pop_front().map(|ts| self.now.0 - ts);
+                            s.ledger.deliver(flit.payload, latency);
                         }
                     }
                 }
@@ -991,18 +1018,8 @@ impl PacketFabric {
         // 5. Finalise draining releases: a session retired with
         //    `ReleaseMode::Drain` stays registered until its last accepted
         //    word was delivered above, then closes loss-free.
-        if !self.draining.is_empty() {
-            self.draining.retain(|&si| {
-                let s = &mut self.streams[si];
-                if s.pending_ts.is_empty() {
-                    s.active = false;
-                    s.draining = false;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.sessions
+            .retire_drained(|s| s.state.pending_ts.is_empty());
     }
 }
 
@@ -1049,49 +1066,18 @@ impl Fabric for PacketFabric {
     /// the pure-packet backend the all-streams reference the hybrid
     /// fabric is compared against.
     fn provision(&mut self, mapping: &Mapping) -> Result<Vec<StreamId>, ProvisionError> {
-        if self.mesh.width > 16 || self.mesh.height > 16 {
-            return Err(ProvisionError::MeshTooLarge {
-                width: self.mesh.width,
-                height: self.mesh.height,
-            });
-        }
-        let streams = mapping.streams();
-        if streams.len() > 256 {
-            return Err(ProvisionError::TooManyStreams {
-                streams: streams.len(),
-            });
-        }
-        self.streams.clear();
-        self.by_id.clear();
-        self.draining.clear();
+        let packet_words = self.packet_words;
+        let served = provision_tagged(&self.mesh, &mut self.sessions, mapping, |dest, plane| {
+            PacketStream::new(dest, plane, packet_words)
+        })?;
         for slots in &mut self.rx_stream {
             slots.fill(None);
-        }
-        self.next_id = streams.len() as u32;
-        self.provisioned = true;
-        let mut served = Vec::with_capacity(streams.len());
-        for ms in streams {
-            let plane = if ms.spilled {
-                StreamPlane::Spilled
-            } else {
-                StreamPlane::Packet
-            };
-            self.register(ms.id, ms.src, ms.dst, plane);
-            served.push(ms.id);
         }
         Ok(served)
     }
 
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this packet fabric"));
-        assert!(self.streams[si].active, "{stream} was released");
-        assert!(
-            !self.streams[si].draining,
-            "{stream} is draining — admission is stopped"
-        );
+        let si = self.sessions.injectable(stream);
         for &word in words {
             self.push_word(si, word);
         }
@@ -1099,65 +1085,43 @@ impl Fabric for PacketFabric {
     }
 
     fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        let &si = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this packet fabric"));
-        std::mem::take(&mut self.streams[si].egress)
+        let si = self.sessions.served(stream);
+        std::mem::take(&mut self.sessions[si].state.ledger.egress)
     }
 
     fn stream_stats(&self) -> Vec<StreamStats> {
-        self.streams
+        self.sessions
             .iter()
-            .map(|s| StreamStats {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                plane: s.plane,
-                active: s.active,
-                injected_words: s.injected,
-                delivered_words: s.delivered,
-                reconfig_cycles: 0,
-                latency: s.latency.clone(),
-                max_deflections: 0,
-            })
+            .map(|s| s.state.ledger.stats(s, s.state.plane))
             .collect()
     }
 
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        self.sessions.is_active(id)
+    }
+
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(&si) = self.by_id.get(&stream.0) else {
-            return Err(AdmitError::UnknownStream(stream));
-        };
-        if !self.streams[si].active {
-            return Err(AdmitError::UnknownStream(stream));
-        }
-        if self.streams[si].draining {
-            return Err(AdmitError::Draining(stream));
-        }
+        let si = self.sessions.releasable(stream)?;
         match mode {
             ReleaseMode::Drop => {
-                let s = &mut self.streams[si];
-                s.active = false;
                 // Discard the staged (never-launched) words and exactly
                 // their timestamps — the tail of the FIFO. Words already
                 // on the wire keep theirs: they may still land after the
                 // release and must stay paired for the latency ledger.
+                let s = &mut self.sessions[si].state;
                 let staged = s.open.len();
                 s.open.clear();
                 let keep = s.pending_ts.len() - staged;
                 s.pending_ts.truncate(keep);
+                self.sessions.retire(si);
             }
             ReleaseMode::Drain => {
                 // Launch the partially filled packet — a drain delivers
                 // everything accepted so far — and let `step_fabric`
                 // retire the session once the last word lands.
                 self.close_stream(si);
-                if self.streams[si].pending_ts.is_empty() {
-                    self.streams[si].active = false;
-                } else {
-                    self.streams[si].draining = true;
-                    self.draining.push(si);
-                }
+                let finished = self.sessions[si].state.pending_ts.is_empty();
+                self.sessions.drain(si, finished);
             }
         }
         Ok(())
@@ -1167,22 +1131,14 @@ impl Fabric for PacketFabric {
     /// destination registration, no lanes to allocate, no
     /// reconfiguration charge.
     fn admit(&mut self, demand: &StreamDemand) -> Result<StreamId, AdmitError> {
-        if !self.provisioned {
-            return Err(AdmitError::Unsupported("admit needs a provisioned fabric"));
-        }
-        if self.next_id > 255 {
-            return Err(AdmitError::Unsupported(
-                "the head flit's 256-stream tag space is exhausted",
-            ));
-        }
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
-        self.register(id, demand.src, demand.dst, StreamPlane::Packet);
-        Ok(id)
+        let packet_words = self.packet_words;
+        admit_tagged(&self.mesh, &mut self.sessions, demand, |dest, plane| {
+            PacketStream::new(dest, plane, packet_words)
+        })
     }
 
     fn finish_injection(&mut self) {
-        for si in 0..self.streams.len() {
+        for si in 0..self.sessions.len() {
             self.close_stream(si);
         }
     }
@@ -1196,16 +1152,7 @@ impl Fabric for PacketFabric {
     }
 
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        for r in 0..self.routers.len() {
-            for comp in self.routers.activity(r) {
-                match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                    Some(existing) => existing.ledger.merge(&comp.ledger),
-                    None => merged.push(comp),
-                }
-            }
-        }
-        merged
+        merge_by_kind((0..self.routers.len()).flat_map(|r| self.routers.activity(r)))
     }
 
     fn clear_activity(&mut self) {
@@ -1213,8 +1160,8 @@ impl Fabric for PacketFabric {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.draining.is_empty()
-            && self.streams.iter().all(|s| s.open.is_empty())
+        self.sessions.pending_drains() == 0
+            && self.sessions.iter().all(|s| s.state.open.is_empty())
             && self.ingress.iter().all(|q| q.is_empty())
             && (0..self.routers.len())
                 .all(|r| self.routers.is_quiescent(r) && self.routers.tile_rx_pending(r) == 0)
@@ -1283,6 +1230,10 @@ impl Fabric for Box<dyn Fabric> {
 
     fn stream_stats(&self) -> Vec<StreamStats> {
         (**self).stream_stats()
+    }
+
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        (**self).stream_is_active(id)
     }
 
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {

@@ -49,18 +49,18 @@ use crate::fabric::{
 };
 use crate::soc::Soc;
 use crate::stream::{
-    AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
+    stats_by_id, AdmitError, ProvisionMode, ReleaseMode, Sessions, StreamDemand, StreamId,
+    StreamPlane, StreamStats,
 };
 use crate::topology::Mesh;
 use noc_core::params::RouterParams;
 use noc_packet::deflection::DeflectionParams;
 use noc_packet::params::PacketParams;
-use noc_sim::activity::ComponentActivity;
+use noc_sim::activity::{merge_by_kind, ComponentActivity};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_join, ParPolicy};
 use noc_sim::time::Cycle;
 use noc_sim::units::SquareMicroMeters;
-use std::collections::{BTreeMap, HashMap};
 
 #[cfg(doc)]
 use crate::ccn::Ccn;
@@ -137,13 +137,6 @@ impl SpillPlane {
             SpillPlane::Deflection(d) => d,
         }
     }
-
-    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        match self {
-            SpillPlane::Packet(p) => p.stream_is_active(id),
-            SpillPlane::Deflection(d) => d.stream_is_active(id),
-        }
-    }
 }
 
 /// Which plane serves a hybrid session, with its plane-local handle.
@@ -155,17 +148,28 @@ enum PlaneSlot {
     Packet(StreamId),
 }
 
+impl PlaneSlot {
+    /// The serving plane among `circuit` and `spill`, with the local handle.
+    fn plane<'a>(
+        self,
+        circuit: &'a mut Soc,
+        spill: &'a mut SpillPlane,
+    ) -> (&'a mut dyn Fabric, StreamId) {
+        match self {
+            PlaneSlot::Circuit(local) => (circuit, local),
+            PlaneSlot::Packet(local) => (spill.as_fabric_mut(), local),
+        }
+    }
+}
+
 /// One hybrid session: plane routing plus the path count feeding
-/// [`SpillStats::circuit_paths`].
+/// [`SpillStats::circuit_paths`]. A draining release is finalised by the
+/// serving plane, and `step_planes` mirrors the result into the table.
 #[derive(Debug, Clone, Copy)]
 struct HybridStream {
     slot: PlaneSlot,
     /// Parallel circuit paths (0 for packet-plane sessions).
     paths: usize,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]; the serving plane finalises
-    /// the teardown, and `step_planes` mirrors the result up here.
-    draining: bool,
 }
 
 /// A hybrid-switched network-on-chip: an owned circuit-switched [`Soc`]
@@ -176,14 +180,10 @@ struct HybridStream {
 pub struct HybridFabric {
     circuit: Soc,
     spill: SpillPlane,
-    /// Global session table; [`StreamId`] -> index via `by_id`.
-    table: Vec<HybridStream>,
-    by_id: BTreeMap<u32, usize>,
-    /// Table indices mid-drain, polled each cycle against their plane.
-    draining: Vec<usize>,
+    /// Global session table over both planes' local handles.
+    sessions: Sessions<HybridStream>,
     policy: ParPolicy,
     now: Cycle,
-    next_id: u32,
     words_on_circuit: u64,
     words_spilled: u64,
 }
@@ -236,12 +236,9 @@ impl HybridFabric {
         HybridFabric {
             circuit: Soc::new(mesh, router_params),
             spill,
-            table: Vec::new(),
-            by_id: BTreeMap::new(),
-            draining: Vec::new(),
+            sessions: Sessions::new(),
             policy: ParPolicy::Auto,
             now: Cycle::ZERO,
-            next_id: 0,
             words_on_circuit: 0,
             words_spilled: 0,
         }
@@ -291,10 +288,10 @@ impl HybridFabric {
     pub fn spill_stats(&self) -> SpillStats {
         SpillStats {
             circuit_paths: self
-                .table
+                .sessions
                 .iter()
                 .filter(|s| s.active)
-                .map(|s| s.paths)
+                .map(|s| s.state.paths)
                 .sum(),
             spilled_streams: self.active_spilled() as usize,
             words_on_circuit: self.words_on_circuit,
@@ -303,17 +300,10 @@ impl HybridFabric {
     }
 
     fn active_spilled(&self) -> u64 {
-        self.table
+        self.sessions
             .iter()
-            .filter(|s| s.active && matches!(s.slot, PlaneSlot::Packet(_)))
+            .filter(|s| s.active && matches!(s.state.slot, PlaneSlot::Packet(_)))
             .count() as u64
-    }
-
-    /// Whether stream `id` is live (`None` when the handle is unknown) —
-    /// the same composite-fabric drain probe the pure backends expose,
-    /// polled by layers that own a hybrid plane (`crate::chiplet`).
-    pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        self.by_id.get(&id.0).map(|&idx| self.table[idx].active)
     }
 
     /// The GT/BE service gap: worst circuit-plane p95 latency versus best
@@ -367,29 +357,14 @@ impl HybridFabric {
         // Mirror plane-finalised drains into the global session table: a
         // `ReleaseMode::Drain` hands the teardown to the serving plane,
         // which completes it loss-free once the stream's words are out.
-        if !self.draining.is_empty() {
-            let table = &mut self.table;
-            let (circuit, spill) = (&self.circuit, &self.spill);
-            self.draining.retain(|&idx| {
-                let done = match table[idx].slot {
-                    PlaneSlot::Circuit(local) => circuit.stream_is_active(local) == Some(false),
-                    PlaneSlot::Packet(local) => spill.stream_is_active(local) == Some(false),
-                };
-                if done {
-                    table[idx].active = false;
-                    table[idx].draining = false;
-                }
-                !done
-            });
-        }
-    }
-
-    fn entry(&self, stream: StreamId) -> &HybridStream {
-        let &idx = self
-            .by_id
-            .get(&stream.0)
-            .unwrap_or_else(|| panic!("{stream} is not served by this hybrid fabric"));
-        &self.table[idx]
+        let (circuit, spill) = (&self.circuit, self.spill.as_fabric());
+        self.sessions.retire_drained(|s| {
+            let (plane, local): (&dyn Fabric, StreamId) = match s.state.slot {
+                PlaneSlot::Circuit(local) => (circuit, local),
+                PlaneSlot::Packet(local) => (spill, local),
+            };
+            plane.stream_is_active(local) == Some(false)
+        });
     }
 }
 
@@ -465,11 +440,8 @@ impl Fabric for HybridFabric {
         };
         let packet_ids = self.spill.as_fabric_mut().provision(&spill_view)?;
 
-        self.table.clear();
-        self.by_id.clear();
-        self.draining.clear();
         let streams = mapping.streams();
-        self.next_id = streams.len() as u32;
+        self.sessions.reset(streams.len() as u32);
         let mut served = Vec::with_capacity(streams.len());
         let mut circuit_it = circuit_ids.into_iter();
         let mut packet_it = packet_ids.into_iter();
@@ -482,14 +454,8 @@ impl Fabric for HybridFabric {
                 let local = packet_it.next().expect("one packet id per spilled stream");
                 (PlaneSlot::Packet(local), 0)
             };
-            let idx = self.table.len();
-            self.by_id.insert(ms.id.0, idx);
-            self.table.push(HybridStream {
-                slot,
-                paths,
-                active: true,
-                draining: false,
-            });
+            self.sessions
+                .insert(ms.id, ms.src, ms.dst, HybridStream { slot, paths });
             served.push(ms.id);
         }
         // Word accounting belongs to the plan being replaced; energy
@@ -500,30 +466,20 @@ impl Fabric for HybridFabric {
     }
 
     fn inject_stream(&mut self, stream: StreamId, words: &[u16]) -> usize {
-        let entry = *self.entry(stream);
-        assert!(entry.active, "{stream} was released");
-        assert!(
-            !entry.draining,
-            "{stream} is draining — admission is stopped"
-        );
-        match entry.slot {
-            PlaneSlot::Circuit(local) => {
-                self.circuit.inject_stream_words(local, words);
-                self.words_on_circuit += words.len() as u64;
-            }
-            PlaneSlot::Packet(local) => {
-                self.spill.as_fabric_mut().inject_stream(local, words);
-                self.words_spilled += words.len() as u64;
-            }
+        let slot = self.sessions[self.sessions.injectable(stream)].state.slot;
+        let (plane, local) = slot.plane(&mut self.circuit, &mut self.spill);
+        plane.inject_stream(local, words);
+        match slot {
+            PlaneSlot::Circuit(_) => self.words_on_circuit += words.len() as u64,
+            PlaneSlot::Packet(_) => self.words_spilled += words.len() as u64,
         }
         words.len()
     }
 
     fn drain_stream(&mut self, stream: StreamId) -> Vec<u16> {
-        match self.entry(stream).slot {
-            PlaneSlot::Circuit(local) => self.circuit.drain_stream_words(local),
-            PlaneSlot::Packet(local) => self.spill.as_fabric_mut().drain_stream(local),
-        }
+        let slot = self.sessions[self.sessions.served(stream)].state.slot;
+        let (plane, local) = slot.plane(&mut self.circuit, &mut self.spill);
+        plane.drain_stream(local)
     }
 
     /// Both planes' sessions under the hybrid's global handles. Circuit
@@ -531,67 +487,35 @@ impl Fabric for HybridFabric {
     /// session reports [`StreamPlane::Spilled`] — on a hybrid, the packet
     /// plane *is* the best-effort spillover.
     fn stream_stats(&self) -> Vec<StreamStats> {
-        let circuit: HashMap<u32, StreamStats> = self
-            .circuit
-            .stream_stats()
-            .into_iter()
-            .map(|s| (s.id.0, s))
-            .collect();
-        let packet: HashMap<u32, StreamStats> = self
-            .spill
-            .as_fabric()
-            .stream_stats()
-            .into_iter()
-            .map(|s| (s.id.0, s))
-            .collect();
-        let mut ids: Vec<u32> = self.by_id.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .map(|gid| {
-                let entry = &self.table[self.by_id[&gid]];
-                let mut stats = match entry.slot {
-                    PlaneSlot::Circuit(local) => circuit[&local.0].clone(),
-                    PlaneSlot::Packet(local) => {
-                        let mut s = packet[&local.0].clone();
-                        s.plane = StreamPlane::Spilled;
-                        s
-                    }
+        let circuit = stats_by_id(&self.circuit);
+        let packet = stats_by_id(self.spill.as_fabric());
+        self.sessions
+            .iter()
+            .map(|s| {
+                let mut stats = match s.state.slot {
+                    PlaneSlot::Circuit(local) => circuit[&local].clone(),
+                    PlaneSlot::Packet(local) => StreamStats {
+                        plane: StreamPlane::Spilled,
+                        ..packet[&local].clone()
+                    },
                 };
-                stats.id = StreamId(gid);
+                stats.id = s.id;
                 stats
             })
             .collect()
     }
 
+    fn stream_is_active(&self, id: StreamId) -> Option<bool> {
+        self.sessions.is_active(id)
+    }
+
     fn release(&mut self, stream: StreamId, mode: ReleaseMode) -> Result<(), AdmitError> {
-        let Some(&idx) = self.by_id.get(&stream.0) else {
-            return Err(AdmitError::UnknownStream(stream));
-        };
-        if !self.table[idx].active {
-            return Err(AdmitError::UnknownStream(stream));
-        }
-        if self.table[idx].draining {
-            return Err(AdmitError::Draining(stream));
-        }
-        let finalised = match self.table[idx].slot {
-            PlaneSlot::Circuit(local) => {
-                self.circuit.release_stream(local, mode)?;
-                self.circuit.stream_is_active(local) == Some(false)
-            }
-            PlaneSlot::Packet(local) => {
-                self.spill.as_fabric_mut().release(local, mode)?;
-                self.spill.stream_is_active(local) == Some(false)
-            }
-        };
-        if finalised {
-            self.table[idx].active = false;
-        } else {
-            // The plane accepted a drain and holds the stream until its
-            // words are out; mirror completion in `step_planes`.
-            self.table[idx].draining = true;
-            self.draining.push(idx);
-        }
-        Ok(())
+        let idx = self.sessions.releasable(stream)?;
+        // A drain the plane accepted holds the stream until its words are
+        // out; `step_planes` mirrors the plane's retirement.
+        let slot = self.sessions[idx].state.slot;
+        let (plane, local) = slot.plane(&mut self.circuit, &mut self.spill);
+        self.sessions.release_on(idx, plane, local, mode)
     }
 
     /// Profiled re-admission: try the circuit plane first — CCN lane
@@ -614,17 +538,9 @@ impl Fabric for HybridFabric {
                 0,
             ),
         };
-        let id = StreamId(self.next_id);
-        self.next_id += 1;
-        let idx = self.table.len();
-        self.by_id.insert(id.0, idx);
-        self.table.push(HybridStream {
-            slot,
-            paths,
-            active: true,
-            draining: false,
-        });
-        Ok(id)
+        Ok(self
+            .sessions
+            .issue(demand.src, demand.dst, HybridStream { slot, paths }))
     }
 
     /// The circuit plane's side-effect-free admission probe: `true` when
@@ -656,14 +572,12 @@ impl Fabric for HybridFabric {
     /// in event counts per `(component, class)`, so the merged ledger
     /// prices exactly like the planes priced separately.
     fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged = self.circuit.activity();
-        for comp in self.spill.as_fabric().activity() {
-            match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                Some(existing) => existing.ledger.merge(&comp.ledger),
-                None => merged.push(comp),
-            }
-        }
-        merged
+        merge_by_kind(
+            self.circuit
+                .activity()
+                .into_iter()
+                .chain(self.spill.as_fabric().activity()),
+        )
     }
 
     fn clear_activity(&mut self) {

@@ -19,7 +19,8 @@
 use crate::be::{BeConfig, BeNetwork};
 use crate::ccn::{Ccn, EdgeRoute, Mapping};
 use crate::stream::{
-    AdmitError, ProvisionMode, ReleaseMode, StreamDemand, StreamId, StreamPlane, StreamStats,
+    AdmitError, Ledger, ProvisionMode, ReleaseMode, Sessions, StreamDemand, StreamId, StreamPlane,
+    StreamStats,
 };
 use crate::tile::{default_tile_kinds, TileKind, TileSlab};
 use crate::topology::{Mesh, NodeId};
@@ -28,21 +29,17 @@ use noc_core::lane::Port;
 use noc_core::params::RouterParams;
 use noc_core::phit::Phit;
 use noc_core::router::CircuitRouter;
-use noc_sim::activity::{ActivityLedger, ComponentActivity};
+use noc_sim::activity::{merge_by_kind, ActivityLedger, ComponentActivity};
 use noc_sim::kernel::Clocked;
 use noc_sim::par::{par_commit, par_eval, ParPolicy};
-use noc_sim::stats::LatencyHistogram;
 use noc_sim::time::{Cycle, CycleCount};
 use noc_sim::units::Bandwidth;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// One provisioned circuit stream: the session state behind a
+/// One provisioned circuit stream: the backend state behind a
 /// [`StreamId`] on the circuit plane.
 #[derive(Debug, Clone)]
 struct SocStream {
-    id: StreamId,
-    src: NodeId,
-    dst: NodeId,
     /// The allocated circuit (kept whole so release can tear it down and
     /// runtime admission can count its lanes as occupied).
     route: EdgeRoute,
@@ -56,10 +53,7 @@ struct SocStream {
     /// delivery is FIFO per lane, so front-of-queue pairs with the next
     /// word captured on the path's RX lane).
     pending_ts: Vec<VecDeque<u64>>,
-    /// Delivered words awaiting `drain_stream`.
-    egress: Vec<u16>,
-    injected: u64,
-    delivered: u64,
+    ledger: Ledger,
     /// BE-network configuration-delivery wait charged to this stream
     /// (zero for provision-time circuits).
     reconfig_cycles: u64,
@@ -69,12 +63,6 @@ struct SocStream {
     /// circuits only). Release cancels them: a dead stream's setup words
     /// must never land on lanes a newer circuit may hold by then.
     setup_msgs: Vec<u64>,
-    latency: LatencyHistogram,
-    active: bool,
-    /// Released with [`ReleaseMode::Drain`]: admission is stopped but the
-    /// lanes are held until the last accepted word is captured, at which
-    /// point [`Soc::step`] finalises the teardown.
-    draining: bool,
     /// Earliest teardown cycle of a drain whose words are all captured:
     /// the lanes are held one ack-flush window longer, because
     /// acknowledge pulses lag the last consumption by up to the circuit's
@@ -87,9 +75,7 @@ struct SocStream {
 /// per-node source index the per-cycle TX pump walks.
 #[derive(Debug, Clone)]
 struct StreamPlan {
-    streams: Vec<SocStream>,
-    /// StreamId -> index into `streams`.
-    by_id: BTreeMap<u32, usize>,
+    sessions: Sessions<SocStream>,
     /// Per node: indices of *active* streams originating there.
     by_src: Vec<Vec<usize>>,
     /// Per node, per tile RX lane: which (stream, path) terminates there.
@@ -97,28 +83,32 @@ struct StreamPlan {
     /// Nodes with at least one entry ever in `rx_map` (collection skips
     /// the rest on the per-cycle hot path).
     rx_nodes: Vec<usize>,
-    /// Stream indices mid-drain, polled each cycle for completion.
-    draining: Vec<usize>,
     /// One lane's payload bandwidth, recorded from the mapping so runtime
     /// admission can re-run CCN lane allocation without a clock in hand.
     lane_capacity: Bandwidth,
-    /// Next session id (continues the mapping's numbering across
-    /// runtime admissions).
-    next_id: u32,
 }
 
 impl StreamPlan {
-    fn new(mesh: &Mesh, lanes_per_port: usize, lane_capacity: Bandwidth) -> StreamPlan {
+    /// An empty plan for a mapping of `streams` streams.
+    fn new(mesh: &Mesh, lanes_per_port: usize, mapping: &Mapping, streams: usize) -> StreamPlan {
+        let mut sessions = Sessions::new();
+        sessions.reset(streams as u32);
         StreamPlan {
-            streams: Vec::new(),
-            by_id: BTreeMap::new(),
+            sessions,
             by_src: vec![Vec::new(); mesh.nodes()],
             rx_map: vec![vec![None; lanes_per_port]; mesh.nodes()],
             rx_nodes: Vec::new(),
-            draining: Vec::new(),
-            lane_capacity,
-            next_id: 0,
+            lane_capacity: mapping.lane_capacity,
         }
+    }
+
+    /// The circuits live sessions hold (draining ones included).
+    fn occupied(&self) -> Vec<EdgeRoute> {
+        self.sessions
+            .iter()
+            .filter(|s| s.active)
+            .map(|s| s.state.route.clone())
+            .collect()
     }
 
     /// Register one circuit session and index its lanes. The route must
@@ -139,7 +129,7 @@ impl StreamPlan {
             .iter()
             .map(|p| p.last().expect("non-empty path").out_lane)
             .collect();
-        let idx = self.streams.len();
+        let idx = self.sessions.len();
         for (j, &lane) in rx_lanes.iter().enumerate() {
             debug_assert!(self.rx_map[dst.0][lane].is_none(), "rx lane double-booked");
             self.rx_map[dst.0][lane] = Some((idx, j));
@@ -148,29 +138,20 @@ impl StreamPlan {
             self.rx_nodes.push(dst.0);
         }
         self.by_src[src.0].push(idx);
-        self.by_id.insert(id.0, idx);
         let paths = route.paths.len();
-        self.streams.push(SocStream {
-            id,
-            src,
-            dst,
+        let state = SocStream {
             route,
             tx_lanes,
             rx_lanes,
             ingress: VecDeque::new(),
             pending_ts: vec![VecDeque::new(); paths],
-            egress: Vec::new(),
-            injected: 0,
-            delivered: 0,
+            ledger: Ledger::default(),
             reconfig_cycles,
             ready_at,
             setup_msgs,
-            latency: LatencyHistogram::new(),
-            active: true,
-            draining: false,
             quiesce_at: None,
-        });
-        idx
+        };
+        self.sessions.insert(id, src, dst, state)
     }
 }
 
@@ -280,10 +261,9 @@ impl Soc {
         // In-flight configuration of a replaced plan is void.
         self.be = BeNetwork::new(self.mesh, BeConfig::default());
 
-        let mut plan = StreamPlan::new(&self.mesh, params.lanes_per_port, mapping.lane_capacity);
-        let mut served = Vec::new();
         let streams = mapping.streams();
-        plan.next_id = streams.len() as u32;
+        let mut plan = StreamPlan::new(&self.mesh, params.lanes_per_port, mapping, streams.len());
+        let mut served = Vec::new();
         let now = self.now;
         let ccn_node = self.mesh.node(0, 0);
         for ms in streams {
@@ -330,15 +310,10 @@ impl Soc {
             .plan
             .as_mut()
             .expect("Soc::inject_stream_words before Soc::provision");
-        let &idx = plan
-            .by_id
-            .get(&id.0)
-            .unwrap_or_else(|| panic!("{id} is not served by this circuit fabric"));
-        let s = &mut plan.streams[idx];
-        assert!(s.active, "{id} was released");
-        assert!(!s.draining, "{id} is draining — admission is stopped");
+        let idx = plan.sessions.injectable(id);
+        let s = &mut plan.sessions[idx].state;
         s.ingress.extend(words.iter().map(|&w| (w, now)));
-        s.injected += words.len() as u64;
+        s.ledger.injected += words.len() as u64;
         words.len()
     }
 
@@ -354,20 +329,16 @@ impl Soc {
             .plan
             .as_mut()
             .expect("Soc::drain_stream_words before Soc::provision");
-        let &idx = plan
-            .by_id
-            .get(&id.0)
-            .unwrap_or_else(|| panic!("{id} is not served by this circuit fabric"));
-        std::mem::take(&mut plan.streams[idx].egress)
+        let idx = plan.sessions.served(id);
+        std::mem::take(&mut plan.sessions[idx].state.ledger.egress)
     }
 
     /// Parallel circuit paths (lanes) stream `id` holds; `None` for
     /// handles this fabric does not serve. The authoritative lane count
     /// behind the hybrid's GT/BE split accounting.
     pub fn stream_path_count(&self, id: StreamId) -> Option<usize> {
-        let plan = self.plan.as_ref()?;
-        let &idx = plan.by_id.get(&id.0)?;
-        Some(plan.streams[idx].route.paths.len())
+        let s = self.plan.as_ref()?.sessions.get(id)?;
+        Some(s.state.route.paths.len())
     }
 
     /// Per-stream telemetry for every session the fabric has served since
@@ -376,19 +347,11 @@ impl Soc {
         let Some(plan) = &self.plan else {
             return Vec::new();
         };
-        plan.streams
+        plan.sessions
             .iter()
             .map(|s| StreamStats {
-                id: s.id,
-                src: s.src,
-                dst: s.dst,
-                plane: StreamPlane::Circuit,
-                active: s.active,
-                injected_words: s.injected,
-                delivered_words: s.delivered,
-                reconfig_cycles: s.reconfig_cycles,
-                latency: s.latency.clone(),
-                max_deflections: 0,
+                reconfig_cycles: s.state.reconfig_cycles,
+                ..s.state.ledger.stats(s, StreamPlane::Circuit)
             })
             .collect()
     }
@@ -409,28 +372,17 @@ impl Soc {
         let Some(plan) = &mut self.plan else {
             return Err(AdmitError::UnknownStream(id));
         };
-        let Some(&idx) = plan.by_id.get(&id.0) else {
-            return Err(AdmitError::UnknownStream(id));
-        };
-        let s = &plan.streams[idx];
-        if !s.active {
-            return Err(AdmitError::UnknownStream(id));
-        }
-        if s.draining {
-            return Err(AdmitError::Draining(id));
-        }
+        let idx = plan.sessions.releasable(id)?;
+        let s = &plan.sessions[idx].state;
         let empty = s.ingress.is_empty() && s.pending_ts.iter().all(VecDeque::is_empty);
-        let never_carried = s.delivered == 0;
+        let never_carried = s.ledger.delivered == 0;
         match mode {
             ReleaseMode::Drop => self.teardown_stream_at(idx),
             // A drain on a stream that never moved a word is already
             // complete — no capture happened, so no acknowledge can be in
             // flight on the reverse wires.
             ReleaseMode::Drain if empty && never_carried => self.teardown_stream_at(idx),
-            ReleaseMode::Drain => {
-                plan.streams[idx].draining = true;
-                plan.draining.push(idx);
-            }
+            ReleaseMode::Drain => plan.sessions.drain(idx, false),
         }
         Ok(())
     }
@@ -441,17 +393,15 @@ impl Soc {
     fn teardown_stream_at(&mut self, idx: usize) {
         let params = self.params;
         let plan = self.plan.as_mut().expect("teardown needs a plan");
-        let (src, dst, tx_lanes, rx_lanes, setup_msgs) = {
-            let s = &mut plan.streams[idx];
-            s.active = false;
-            s.draining = false;
+        plan.sessions.retire(idx);
+        let (src, dst) = (plan.sessions[idx].src, plan.sessions[idx].dst);
+        let (tx_lanes, rx_lanes, setup_msgs) = {
+            let s = &mut plan.sessions[idx].state;
             s.ingress.clear();
             for q in &mut s.pending_ts {
                 q.clear();
             }
             (
-                s.src,
-                s.dst,
                 s.tx_lanes.clone(),
                 s.rx_lanes.clone(),
                 std::mem::take(&mut s.setup_msgs),
@@ -464,7 +414,7 @@ impl Soc {
             self.be.cancel(msg);
         }
         for (node, word) in
-            crate::reconfig::teardown_words_for_route(&plan.streams[idx].route, &params)
+            crate::reconfig::teardown_words_for_route(&plan.sessions[idx].state.route, &params)
         {
             self.routers[node.0]
                 .apply_config_word(word)
@@ -493,9 +443,7 @@ impl Soc {
     /// actually run)? `None` for handles this fabric does not serve. A
     /// cheap per-cycle poll for drain supervisors: no telemetry clones.
     pub fn stream_is_active(&self, id: StreamId) -> Option<bool> {
-        let plan = self.plan.as_ref()?;
-        let &idx = plan.by_id.get(&id.0)?;
-        Some(plan.streams[idx].active)
+        self.plan.as_ref()?.sessions.is_active(id)
     }
 
     /// Would [`Soc::admit_stream`] put `demand` on circuit lanes right
@@ -507,14 +455,8 @@ impl Soc {
         let Some(plan) = &self.plan else {
             return false;
         };
-        let occupied: Vec<EdgeRoute> = plan
-            .streams
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| s.route.clone())
-            .collect();
         let ccn = Ccn::with_lane_capacity(self.mesh, self.params, plan.lane_capacity);
-        matches!(ccn.admit_stream(demand, &occupied), Ok(route) if !route.paths.is_empty())
+        matches!(ccn.admit_stream(demand, &plan.occupied()), Ok(route) if !route.paths.is_empty())
     }
 
     /// Run-time admission: re-run CCN lane allocation for `demand`
@@ -533,14 +475,8 @@ impl Soc {
                 "admit needs a provisioned fabric (lane capacity comes from the mapping)",
             ));
         };
-        let occupied: Vec<EdgeRoute> = plan
-            .streams
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| s.route.clone())
-            .collect();
         let ccn = Ccn::with_lane_capacity(mesh, params, plan.lane_capacity);
-        let route = ccn.admit_stream(demand, &occupied)?;
+        let route = ccn.admit_stream(demand, &plan.occupied())?;
         if route.paths.is_empty() {
             return Err(AdmitError::Unsupported(
                 "on-tile demands need no NoC stream",
@@ -559,8 +495,7 @@ impl Soc {
             setup_msgs.push(msg);
         }
 
-        let id = StreamId(plan.next_id);
-        plan.next_id += 1;
+        let id = StreamId(plan.sessions.next_id());
         let dst = route.dst().expect("paths checked non-empty");
         plan.register(id, route, ready.0, ready.0 - now.0, setup_msgs);
         self.tiles.set_capture(dst.0, true);
@@ -572,14 +507,16 @@ impl Soc {
     /// window). Outstanding work: a fabric with pending drains is not
     /// quiescent — their teardown still has to run inside `step`.
     pub fn pending_drains(&self) -> usize {
-        self.plan.as_ref().map_or(0, |p| p.draining.len())
+        self.plan
+            .as_ref()
+            .map_or(0, |p| p.sessions.pending_drains())
     }
 
     /// Total words queued for injection but not yet on the wire.
     pub fn ingress_backlog(&self) -> usize {
-        self.plan
-            .as_ref()
-            .map_or(0, |p| p.streams.iter().map(|s| s.ingress.len()).sum())
+        self.plan.as_ref().map_or(0, |p| {
+            p.sessions.iter().map(|s| s.state.ingress.len()).sum()
+        })
     }
 
     /// Choose serial or pooled router evaluation (default
@@ -691,7 +628,7 @@ impl Soc {
             let now = self.now.0;
             for node in self.mesh.iter() {
                 for &si in &plan.by_src[node.0] {
-                    let s = &mut plan.streams[si];
+                    let s = &mut plan.sessions[si].state;
                     if s.ready_at > now {
                         continue;
                     }
@@ -725,13 +662,10 @@ impl Soc {
                     if words.is_empty() {
                         continue;
                     }
-                    let s = &mut plan.streams[si];
+                    let s = &mut plan.sessions[si].state;
                     for word in words {
-                        if let Some(ts) = s.pending_ts[pj].pop_front() {
-                            s.latency.record(now - ts);
-                        }
-                        s.egress.push(word);
-                        s.delivered += 1;
+                        let latency = s.pending_ts[pj].pop_front().map(|ts| now - ts);
+                        s.ledger.deliver(word, latency);
                     }
                 }
             }
@@ -742,37 +676,23 @@ impl Soc {
         //     word was captured above, then tears down loss-free. This
         //     runs in the serial section of the cycle, so drain timing is
         //     bit-identical under every `ParPolicy`.
-        if self
-            .plan
-            .as_ref()
-            .is_some_and(|plan| !plan.draining.is_empty())
-        {
-            let mut done = Vec::new();
-            {
-                let plan = self.plan.as_mut().expect("checked above");
-                let now = self.now.0;
-                for i in 0..plan.draining.len() {
-                    let idx = plan.draining[i];
-                    let s = &mut plan.streams[idx];
-                    if !(s.ingress.is_empty() && s.pending_ts.iter().all(VecDeque::is_empty)) {
-                        continue;
-                    }
-                    // All words captured — hold the lanes one ack-flush
-                    // window longer: acknowledge pulses lag the last
-                    // consumption by up to the circuit's hop count, and a
-                    // late ack must never hit a freshly reset window
-                    // counter.
-                    let margin = s.route.hops() as u64 + 4;
-                    let at = *s.quiesce_at.get_or_insert(now + margin);
-                    if now >= at {
-                        done.push(idx);
-                    }
+        let now = self.now.0;
+        let done = self.plan.as_mut().map_or_else(Vec::new, |plan| {
+            plan.sessions.retire_drained(|s| {
+                let s = &mut s.state;
+                if !(s.ingress.is_empty() && s.pending_ts.iter().all(VecDeque::is_empty)) {
+                    return false;
                 }
-                plan.draining.retain(|idx| !done.contains(idx));
-            }
-            for idx in done {
-                self.teardown_stream_at(idx);
-            }
+                // All words captured — hold the lanes one ack-flush window
+                // longer: acknowledge pulses lag the last consumption by up
+                // to the circuit's hop count, and a late ack must never hit
+                // a freshly reset window counter.
+                let margin = s.route.hops() as u64 + 4;
+                now >= *s.quiesce_at.get_or_insert(now + margin)
+            })
+        });
+        for idx in done {
+            self.teardown_stream_at(idx);
         }
 
         // 3+4. Two-phase clocking over all routers, optionally parallel.
@@ -790,16 +710,7 @@ impl Soc {
 
     /// Merge the whole SoC's per-component activity (for SoC-level power).
     pub fn activity(&self) -> Vec<ComponentActivity> {
-        let mut merged: Vec<ComponentActivity> = Vec::new();
-        for r in &self.routers {
-            for comp in r.activity() {
-                match merged.iter_mut().find(|c| c.kind == comp.kind) {
-                    Some(existing) => existing.ledger.merge(&comp.ledger),
-                    None => merged.push(comp),
-                }
-            }
-        }
-        merged
+        merge_by_kind(self.routers.iter().flat_map(CircuitRouter::activity))
     }
 
     /// Sum of all routers' activity as one ledger.

@@ -25,11 +25,17 @@
 //!   stream's measured latency exactly like a runtime
 //!   [`crate::fabric::Fabric::admit`]'s does. The policy loop that drives
 //!   these verbs automatically lives in [`crate::controller`].
+//!
+//! Every backend keeps its sessions in one crate-private table
+//! (`Sessions<T>`): id lookup and numbering, the release and injection
+//! preconditions, the drain list and the delivery ledger live there once,
+//! and each backend adds only its own per-stream state `T`.
 
 use crate::topology::NodeId;
 use noc_sim::stats::LatencyHistogram;
 use noc_sim::units::Bandwidth;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Handle of one provisioned stream session.
@@ -297,6 +303,294 @@ impl fmt::Display for AdmitError {
 }
 
 impl std::error::Error for AdmitError {}
+
+// ---------------------------------------------------------------------------
+// The session table behind every backend
+// ---------------------------------------------------------------------------
+
+/// One session's delivery ledger: delivered words awaiting `drain_stream`,
+/// word counts and the service-latency distribution.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ledger {
+    pub(crate) egress: Vec<u16>,
+    pub(crate) injected: u64,
+    pub(crate) delivered: u64,
+    pub(crate) latency: LatencyHistogram,
+}
+
+impl Ledger {
+    /// Land one delivered word, with its service latency when the word's
+    /// inject timestamp is known.
+    pub(crate) fn deliver(&mut self, word: u16, latency: Option<u64>) {
+        if let Some(cycles) = latency {
+            self.latency.record(cycles);
+        }
+        self.egress.push(word);
+        self.delivered += 1;
+    }
+
+    /// `session`'s telemetry as served on `plane`, with no reconfiguration
+    /// charge and no deflections (backends with either override them).
+    pub(crate) fn stats<T>(&self, session: &Session<T>, plane: StreamPlane) -> StreamStats {
+        StreamStats {
+            id: session.id,
+            src: session.src,
+            dst: session.dst,
+            plane,
+            active: session.active,
+            injected_words: self.injected,
+            delivered_words: self.delivered,
+            reconfig_cycles: 0,
+            latency: self.latency.clone(),
+            max_deflections: 0,
+        }
+    }
+}
+
+/// `plane`'s per-stream telemetry keyed by its own handles: the lookup a
+/// composite fabric translates into its global sessions.
+pub(crate) fn stats_by_id(plane: &dyn crate::fabric::Fabric) -> HashMap<StreamId, StreamStats> {
+    plane
+        .stream_stats()
+        .into_iter()
+        .map(|s| (s.id, s))
+        .collect()
+}
+
+/// One stream session: its handle, endpoints and lifecycle flags, plus the
+/// serving backend's own per-stream state `T`.
+#[derive(Debug, Clone)]
+pub(crate) struct Session<T> {
+    pub(crate) id: StreamId,
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    /// `false` once a release (a drain's deferred retirement included) has
+    /// completed.
+    pub(crate) active: bool,
+    /// Released with [`ReleaseMode::Drain`] and not yet retired: injection
+    /// is refused while the backend still holds the stream's resources.
+    pub(crate) draining: bool,
+    pub(crate) state: T,
+}
+
+/// The stream-session table every backend keeps: the lifecycle of the
+/// paper's per-connection unit (set up, carry, release, §1.1/§5.1) plus
+/// the drain step of profiled hybrid switching, written once.
+///
+/// It owns the id → session lookup (a dense `Vec`, with gaps for ids a
+/// backend does not serve), the id numbering across provision and
+/// runtime admission, the shared release and injection preconditions,
+/// and the list of draining sessions. Sessions are kept in registration
+/// order, which is id order, so `stream_stats` built by iterating the
+/// table is in id order too.
+#[derive(Debug, Clone)]
+pub(crate) struct Sessions<T> {
+    list: Vec<Session<T>>,
+    /// `StreamId` → index into `list`.
+    by_id: Vec<Option<usize>>,
+    /// Indices of sessions mid-drain, in drain-start order.
+    draining: Vec<usize>,
+    next_id: u32,
+    /// Has a plan been installed? (`admit` needs one to extend, even one
+    /// with zero streams.)
+    provisioned: bool,
+}
+
+impl<T> Sessions<T> {
+    /// An empty, unprovisioned table.
+    pub(crate) fn new() -> Sessions<T> {
+        Sessions {
+            list: Vec::new(),
+            by_id: Vec::new(),
+            draining: Vec::new(),
+            next_id: 0,
+            provisioned: false,
+        }
+    }
+
+    /// Replace the plan: forget every session and let runtime admission
+    /// continue the numbering at `next_id` (the mapping's stream count).
+    pub(crate) fn reset(&mut self, next_id: u32) {
+        self.list.clear();
+        self.by_id.clear();
+        self.draining.clear();
+        self.next_id = next_id;
+        self.provisioned = true;
+    }
+
+    pub(crate) fn is_provisioned(&self) -> bool {
+        self.provisioned
+    }
+
+    /// The id the next runtime admission gets.
+    pub(crate) fn next_id(&self) -> u32 {
+        self.next_id
+    }
+
+    /// Register a live session under `id`; returns its index.
+    pub(crate) fn insert(&mut self, id: StreamId, src: NodeId, dst: NodeId, state: T) -> usize {
+        let slot = id.0 as usize;
+        if self.by_id.len() <= slot {
+            self.by_id.resize(slot + 1, None);
+        }
+        debug_assert!(self.by_id[slot].is_none(), "{id} registered twice");
+        let idx = self.list.len();
+        self.by_id[slot] = Some(idx);
+        self.next_id = self.next_id.max(id.0 + 1);
+        self.list.push(Session {
+            id,
+            src,
+            dst,
+            active: true,
+            draining: false,
+            state,
+        });
+        idx
+    }
+
+    /// Register a runtime-admitted session under the next free id.
+    pub(crate) fn issue(&mut self, src: NodeId, dst: NodeId, state: T) -> StreamId {
+        let id = StreamId(self.next_id);
+        self.insert(id, src, dst, state);
+        id
+    }
+
+    /// Index of session `id`, if this table serves it.
+    pub(crate) fn index_of(&self, id: StreamId) -> Option<usize> {
+        self.by_id.get(id.0 as usize).copied().flatten()
+    }
+
+    pub(crate) fn get(&self, id: StreamId) -> Option<&Session<T>> {
+        self.index_of(id).map(|idx| &self.list[idx])
+    }
+
+    /// The `Fabric::stream_is_active` answer.
+    pub(crate) fn is_active(&self, id: StreamId) -> Option<bool> {
+        self.get(id).map(|s| s.active)
+    }
+
+    /// Index of served session `id` (the `drain_stream` precondition).
+    ///
+    /// # Panics
+    /// Panics on a handle this table does not serve.
+    pub(crate) fn served(&self, id: StreamId) -> usize {
+        self.index_of(id)
+            .unwrap_or_else(|| panic!("{id} is not served by this fabric"))
+    }
+
+    /// Index of session `id` if it may take words (the `inject_stream`
+    /// precondition).
+    ///
+    /// # Panics
+    /// Panics on a handle this table does not serve, a released stream or
+    /// a draining one.
+    pub(crate) fn injectable(&self, id: StreamId) -> usize {
+        let idx = self.served(id);
+        assert!(self.list[idx].active, "{id} was released");
+        assert!(
+            !self.list[idx].draining,
+            "{id} is draining — admission is stopped"
+        );
+        idx
+    }
+
+    /// Index of session `id` if it may be released: unknown and
+    /// already-released ids are [`AdmitError::UnknownStream`], a stream
+    /// mid-drain is [`AdmitError::Draining`].
+    pub(crate) fn releasable(&self, id: StreamId) -> Result<usize, AdmitError> {
+        match self.index_of(id) {
+            Some(idx) if self.list[idx].draining => Err(AdmitError::Draining(id)),
+            Some(idx) if self.list[idx].active => Ok(idx),
+            _ => Err(AdmitError::UnknownStream(id)),
+        }
+    }
+
+    /// Close session `idx` for good.
+    pub(crate) fn retire(&mut self, idx: usize) {
+        let s = &mut self.list[idx];
+        s.active = false;
+        s.draining = false;
+    }
+
+    /// Start a draining release of session `idx`: retired at once when
+    /// `finished` (nothing left in flight), otherwise held until
+    /// [`Sessions::retire_drained`] sees it done.
+    pub(crate) fn drain(&mut self, idx: usize, finished: bool) {
+        if finished {
+            self.retire(idx);
+        } else {
+            self.list[idx].draining = true;
+            self.draining.push(idx);
+        }
+    }
+
+    /// Release session `idx` on the plane that serves it under `local`,
+    /// then mirror the plane's outcome: retired when the plane finished the
+    /// release at once, draining until the plane retires it otherwise.
+    pub(crate) fn release_on(
+        &mut self,
+        idx: usize,
+        plane: &mut dyn crate::fabric::Fabric,
+        local: StreamId,
+        mode: ReleaseMode,
+    ) -> Result<(), AdmitError> {
+        plane.release(local, mode)?;
+        self.drain(idx, plane.stream_is_active(local) == Some(false));
+        Ok(())
+    }
+
+    /// Sessions whose draining release has not been retired yet.
+    pub(crate) fn pending_drains(&self) -> usize {
+        self.draining.len()
+    }
+
+    /// Retire every draining session `done` reports complete, in
+    /// drain-start order, and return their indices in that order.
+    pub(crate) fn retire_drained(
+        &mut self,
+        mut done: impl FnMut(&mut Session<T>) -> bool,
+    ) -> Vec<usize> {
+        let mut retired = Vec::new();
+        if self.draining.is_empty() {
+            return retired;
+        }
+        let list = &mut self.list;
+        self.draining.retain(|&idx| {
+            let s = &mut list[idx];
+            if !done(s) {
+                return true;
+            }
+            s.active = false;
+            s.draining = false;
+            retired.push(idx);
+            false
+        });
+        retired
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// Sessions in registration (= id) order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Session<T>> {
+        self.list.iter()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Sessions<T> {
+    type Output = Session<T>;
+
+    fn index(&self, idx: usize) -> &Session<T> {
+        &self.list[idx]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Sessions<T> {
+    fn index_mut(&mut self, idx: usize) -> &mut Session<T> {
+        &mut self.list[idx]
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -280,6 +280,24 @@ impl ComponentActivity {
     }
 }
 
+/// Merge component snapshots into one entry per [`ComponentKind`], kinds in
+/// first-seen order — how a fabric folds its routers' (or planes') ledgers
+/// into one fabric-level report. Energy is linear in event counts per
+/// `(component, class)`, so the merged report prices exactly like its
+/// parts priced separately.
+pub fn merge_by_kind(
+    components: impl IntoIterator<Item = ComponentActivity>,
+) -> Vec<ComponentActivity> {
+    let mut merged: Vec<ComponentActivity> = Vec::new();
+    for comp in components {
+        match merged.iter_mut().find(|c| c.kind == comp.kind) {
+            Some(existing) => existing.ledger.merge(&comp.ledger),
+            None => merged.push(comp),
+        }
+    }
+    merged
+}
+
 /// Sum a set of component snapshots into one ledger (all components merged).
 pub fn merge_all(components: &[ComponentActivity]) -> ActivityLedger {
     let mut out = ActivityLedger::new();
@@ -292,6 +310,23 @@ pub fn merge_all(components: &[ComponentActivity]) -> ActivityLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_by_kind_sums_per_kind_in_first_seen_order() {
+        let ledger = |class, n| {
+            let mut l = ActivityLedger::new();
+            l.add(class, n);
+            l
+        };
+        let merged = merge_by_kind([
+            ComponentActivity::new(ComponentKind::Link, ledger(ActivityClass::LinkToggle, 3)),
+            ComponentActivity::new(ComponentKind::Crossbar, ledger(ActivityClass::RegClock, 1)),
+            ComponentActivity::new(ComponentKind::Link, ledger(ActivityClass::LinkToggle, 4)),
+        ]);
+        let kinds: Vec<ComponentKind> = merged.iter().map(|c| c.kind).collect();
+        assert_eq!(kinds, [ComponentKind::Link, ComponentKind::Crossbar]);
+        assert_eq!(merged[0].ledger.get(ActivityClass::LinkToggle), 7);
+    }
 
     #[test]
     fn indices_are_dense_and_stable() {

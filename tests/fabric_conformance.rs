@@ -22,11 +22,16 @@
 //! 6. **Stream lifecycle** — `release(.., ReleaseMode::Drop)` + `admit`
 //!    round-trips: a released session's demand is re-admitted onto an
 //!    equivalent route and the new session delivers; injecting on the
-//!    released handle panics;
+//!    released handle panics; releasing it again, or releasing an id the
+//!    fabric never issued, is `AdmitError::UnknownStream`, and
+//!    `stream_is_active` reports `Some(false)` for the released handle and
+//!    `None` for the never-issued one;
 //! 7. **Draining release** — `release(.., ReleaseMode::Drain)` under
 //!    active injection loses nothing: every accepted word is delivered,
-//!    injection is refused the moment the drain starts, and the teardown
-//!    finalises (the stream reports inactive) once the pipeline is empty;
+//!    injection is refused the moment the drain starts, a second release
+//!    of either mode is `AdmitError::Draining`, and the teardown finalises
+//!    once the pipeline is empty (`stream_is_active` is `Some(true)`
+//!    while draining, `Some(false)` after);
 //! 8. **BE-delivered cold start** — `provision_with(..,
 //!    ProvisionMode::BeDelivered)` charges the §5.1 configuration
 //!    delivery to each circuit stream's `reconfig_cycles` and to the
@@ -269,11 +274,21 @@ fn conformance_under<F: Fabric>(mk: impl Fn() -> F, policy: ParPolicy) -> Lifecy
         "{}: released stream must report inactive",
         live.kind()
     );
-    assert!(
-        live.release(id, ReleaseMode::Drop).is_err(),
+    assert_eq!(
+        live.release(id, ReleaseMode::Drop),
+        Err(AdmitError::UnknownStream(id)),
         "{}: double release must fail",
         live.kind()
     );
+    assert_eq!(live.stream_is_active(id), Some(false));
+    let never_issued = StreamId(1000);
+    assert_eq!(
+        live.release(never_issued, ReleaseMode::Drain),
+        Err(AdmitError::UnknownStream(never_issued)),
+        "{}: releasing a never-issued id must fail",
+        live.kind()
+    );
+    assert_eq!(live.stream_is_active(never_issued), None);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         live.inject_stream(id, &[1]);
     }));
@@ -330,6 +345,20 @@ fn conformance_under<F: Fabric>(mk: impl Fn() -> F, policy: ParPolicy) -> Lifecy
     draining
         .release(id, ReleaseMode::Drain)
         .expect("live streams drain");
+    for mode in [ReleaseMode::Drain, ReleaseMode::Drop] {
+        assert_eq!(
+            draining.release(id, mode),
+            Err(AdmitError::Draining(id)),
+            "{}: a drain in progress cannot be released again ({mode})",
+            draining.kind()
+        );
+    }
+    assert_eq!(
+        draining.stream_is_active(id),
+        Some(true),
+        "{}: a draining stream stays active until its teardown",
+        draining.kind()
+    );
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         draining.inject_stream(id, &[1]);
     }));
@@ -351,6 +380,7 @@ fn conformance_under<F: Fabric>(mk: impl Fn() -> F, policy: ParPolicy) -> Lifecy
         "{}: the deferred teardown must finalise",
         draining.kind()
     );
+    assert_eq!(draining.stream_is_active(id), Some(false));
     assert_eq!(drain_stats.delivered_words, words.len() as u64);
     assert!(
         draining.is_quiescent(),

@@ -19,7 +19,8 @@
 //! word counts, spilled words, and bit-exact total energy must be
 //! identical across all three policies for every mesh size and fabric.
 //! Any divergence exits non-zero — parallel stepping is only allowed to
-//! change wall-clock time, never simulation results. Speedup itself is
+//! change wall-clock time, never simulation results. The chiplet row must
+//! also deliver every injected word once it has settled. Speedup itself is
 //! reported, not asserted: it depends on the host's CPU count (CI smoke
 //! runs on whatever the runner provides; a single-core box legitimately
 //! shows ~1×).
@@ -445,6 +446,14 @@ fn main() {
                 "!! {mesh_label} {fabric_label}: per-stream sum {stream_sum} != \
                  total {}",
                 seq.outcome.delivered
+            );
+            failures += 1;
+        }
+        if seq.outcome.delivered != seq.outcome.injected {
+            println!(
+                "!! {mesh_label} {fabric_label}: delivered {} of {} injected \
+                 words after settling",
+                seq.outcome.delivered, seq.outcome.injected
             );
             failures += 1;
         }

@@ -464,9 +464,26 @@ impl ChipletFabric {
         }
     }
 
+    /// Can same-chiplet `route` be installed on its chiplet's plane as it
+    /// stands? Packet and deflection planes read only a route's endpoints.
+    /// Circuit and hybrid planes configure every hop, so the route must
+    /// stay on the chiplet — and the aggregate CCN may detour a
+    /// same-chiplet stream through a neighbouring chiplet.
+    fn verbatim(&self, route: &EdgeRoute) -> bool {
+        let chip = route.src().map(|n| self.chip_of(n));
+        !matches!(self.inner_kind, FabricKind::Circuit | FabricKind::Hybrid)
+            || route
+                .paths
+                .iter()
+                .flatten()
+                .all(|hop| Some(self.chip_of(hop.node)) == chip)
+    }
+
     /// Translate an aggregate-mesh path-hop sequence onto the inner mesh of
-    /// one chiplet (all hops must stay inside that chiplet).
+    /// one chiplet (all hops must stay inside that chiplet wherever the
+    /// plane reads them).
     fn route_in_chip(&self, route: &EdgeRoute) -> EdgeRoute {
+        debug_assert!(self.verbatim(route), "route leaves its chiplet");
         let paths = route
             .paths
             .iter()
@@ -823,7 +840,7 @@ impl Fabric for ChipletFabric {
                 continue;
             }
             let route = &mapping.routes[ms.route.expect("non-spilled stream has a route")];
-            if self.chip_of(ms.src) == self.chip_of(ms.dst) {
+            if self.chip_of(ms.src) == self.chip_of(ms.dst) && self.verbatim(route) {
                 occupied[self.chip_of(ms.src)].push(self.route_in_chip(route));
             }
         }
@@ -854,8 +871,21 @@ impl Fabric for ChipletFabric {
                     plan.spill_refs.push(SegRef::Intra(gid));
                 } else {
                     let route = &mapping.routes[ms.route.expect("non-spilled stream has a route")];
-                    plan.routes.push(self.route_in_chip(route));
-                    plan.route_refs.push(SegRef::Intra(gid));
+                    if self.verbatim(route) {
+                        plan.routes.push(self.route_in_chip(route));
+                        plan.route_refs.push(SegRef::Intra(gid));
+                    } else {
+                        // A detour off the chiplet is re-resolved on the
+                        // local CCN: a hybrid plane spills it when no lanes
+                        // are free, a circuit plane leaves it unserved.
+                        let want = Some(self.local_demand(&StreamDemand::from(ms)));
+                        let seg = SegRef::Intra(gid);
+                        let occupied = &mut occupied[src_chip];
+                        let out = self.resolve_segment(&ccn, plan, occupied, want, seg);
+                        if matches!(out, SegOutcome::Unserved) {
+                            continue;
+                        }
+                    }
                 }
                 (
                     ChipletSlot::Intra {

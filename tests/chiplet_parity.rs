@@ -9,8 +9,11 @@
 //! backend knob the flat fabric does.
 //!
 //! Also here: on a real grid, a deployment binds offered load to exactly
-//! the streams the chiplet fabric serves.
+//! the streams the chiplet fabric serves, and a same-chiplet stream whose
+//! aggregate route detours through a neighbouring chiplet still delivers
+//! every word.
 
+use noc_mesh::ccn::{EdgeRoute, PathHop};
 use noc_mesh::chiplet::CHIPLET_BACKEND;
 use rcs_noc::prelude::*;
 
@@ -218,5 +221,66 @@ fn circuit_chiplets_with_spill_bind_only_served_streams() {
     for s in &stats {
         assert!(s.injected_words > 0, "{:?} carried no traffic", s.id);
         assert_eq!(s.delivered_words, s.injected_words, "{:?} lost words", s.id);
+    }
+}
+
+/// A hand-built mapping on a 4×4 mesh cut into a 2×2 grid of 2×2
+/// chiplets: one stream (0,0) → (0,1), both tiles on chiplet 0, whose
+/// circuit detours east through chiplet 1 — (0,0) → (1,0) → (2,0) →
+/// (2,1) → (1,1) → (0,1) — the way the aggregate CCN routes a
+/// same-chiplet stream around congestion.
+fn detouring_intra_mapping(mesh: Mesh) -> Mapping {
+    let hops = [
+        ((0, 0), Port::Tile, Port::East),
+        ((1, 0), Port::West, Port::East),
+        ((2, 0), Port::West, Port::South),
+        ((2, 1), Port::North, Port::West),
+        ((1, 1), Port::East, Port::West),
+        ((0, 1), Port::East, Port::Tile),
+    ];
+    let path = hops
+        .iter()
+        .map(|&((x, y), in_port, out_port)| PathHop {
+            node: mesh.node(x, y),
+            in_port,
+            in_lane: 0,
+            out_port,
+            out_lane: 0,
+        })
+        .collect();
+    let lane_capacity = Ccn::new(mesh, RouterParams::paper(), MegaHertz(100.0)).lane_capacity();
+    Mapping {
+        placement: Vec::new(),
+        routes: vec![EdgeRoute {
+            edges: Vec::new(),
+            paths: vec![path],
+            lane_capacity,
+            demand: Bandwidth(60.0),
+        }],
+        spilled: Vec::new(),
+        lane_capacity,
+    }
+}
+
+#[test]
+fn intra_chiplet_route_detouring_through_a_neighbour_delivers_every_word() {
+    let mesh = Mesh::new(4, 4);
+    let mapping = detouring_intra_mapping(mesh);
+    let words: Vec<u16> = (0..64).map(|i| 0x0D00 | i).collect();
+    for kind in [FabricKind::Circuit, FabricKind::Hybrid] {
+        let mut fabric = ChipletFabric::paper(mesh, 2, 2, kind);
+        let ids = fabric.provision(&mapping).expect("legal mapping");
+        assert_eq!(ids.len(), 1, "{kind}: the free chiplet serves the stream");
+        fabric.inject_stream(ids[0], &words);
+        fabric.finish_injection();
+        let mut delivered = Vec::new();
+        for _ in 0..50 {
+            fabric.run(32);
+            delivered.extend(fabric.drain_stream(ids[0]));
+        }
+        let stats = fabric.stream_stats().remove(0);
+        assert_eq!(stats.delivered_words, stats.injected_words, "{kind}");
+        assert_eq!(delivered, words, "{kind}: payload intact and in order");
+        assert!(fabric.is_quiescent(), "{kind}: nothing stranded");
     }
 }
